@@ -263,8 +263,9 @@ FaultInjector::stallNs(uint64_t salt, uint64_t shot, uint64_t epoch,
 {
     if (plan_.stallProb <= 0.0 || !(plan_.stallStages & (1u << stage)))
         return 0;
-    const uint64_t h =
-        mix(plan_.seed, kSiteStall + stage, salt, shot, epoch);
+    const uint64_t h = mix(plan_.seed,
+                           kSiteStall + static_cast<uint64_t>(stage), salt,
+                           shot, epoch);
     return unit(h) < plan_.stallProb ? plan_.stallNs : 0;
 }
 
