@@ -1,22 +1,23 @@
 /**
  * @file
- * Decoder-backend micro-bench: dense (precomputed all-pairs tables) vs
- * sparse rows (on-demand truncated Dijkstra) vs the matrix-free sparse
- * blossom. Measures the cold path every new deformed-patch shape pays —
- * decoding-graph construction — steady-state decode throughput, and
- * burst-syndrome throughput (shots/sec vs fired-defect count, the
- * Q3DE-style cosmic-ray regime where the matrix-free matcher is the
- * designed winner). Verifies on every sampled shot that the exact-mode
- * sparse rows decoder predicts bit-identically to dense, and that the
- * sparse blossom's matched weight equals the dense blossom's exactly on
- * every burst shot. Emits BENCH_decoder.json.
+ * Decoder-backend micro-bench. All three backends build the same
+ * O(edges) decoding graph and solve on the same sparse blossom; they
+ * differ in where the candidate pairs come from: exact memoized rows
+ * (Dense), radius-bounded rows with the K-nearest mask and burst
+ * dispatch (Sparse, the default), or bounded ball growth (the
+ * matrix-free SparseBlossom). Measures the cold path every new
+ * deformed-patch shape pays — decoding-graph construction — steady-state
+ * decode throughput per backend, and burst-syndrome throughput
+ * (shots/sec vs fired-defect count, the Q3DE-style cosmic-ray regime
+ * the matrix-free matcher is built for). Emits BENCH_decoder.json.
  *
  * Flags: --scale=S (shot budget), --dmax=N (default 13), --dburst=N
  * (default 11, burst-section distance), --json=DIR.
- * Exits non-zero on any equivalence violation, so CI smoke runs double
- * as the cross-backend gate. The default sparse config (truncated,
- * radius-bounded, burst dispatch) is timed as well and its agreement
- * rate reported — it may differ from dense only on equal-weight ties.
+ * Exits non-zero unless exact rows (Dense) and the matrix-free matcher
+ * report equal matched weight (MwpmScratch::lastWeight) on every
+ * sampled and every burst shot, so CI smoke runs double as the
+ * cross-backend gate. The default config's agreement rate with exact
+ * rows is reported too — its K-nearest mask may differ on rare shots.
  */
 
 #include <chrono>
@@ -57,13 +58,14 @@ main(int argc, char **argv)
     const int build_reps = 5;
     JsonReport report(argc, argv, "decoder");
 
-    header("MWPM backends: dense APSP tables vs sparse on-demand Dijkstra");
+    header("MWPM backends: exact rows vs default rows vs matrix-free "
+           "matcher");
     std::printf("%zu shots per distance, %d build reps, p=2e-3\n\n", shots,
                 build_reps);
-    std::printf("  d    nodes  build dense  build sparse   speedup"
-                "   decode dense   decode sparse\n");
+    std::printf("  d    nodes       build   exact sh/s  default sh/s"
+                "  blossom sh/s\n");
 
-    bool all_agree = true;
+    bool weights_equal = true;
     for (int d = 3; d <= dmax; d += 2) {
         MemorySpec spec;
         spec.rounds = d;
@@ -75,76 +77,72 @@ main(int argc, char **argv)
 
         auto t0 = std::chrono::steady_clock::now();
         for (int r = 0; r < build_reps; ++r) {
-            const MwpmDecoder probe(dem, 1, nullptr, MatchingBackend::Dense);
+            const MwpmDecoder probe(dem, 1);
             (void)probe;
         }
-        const double dense_build = secondsSince(t0) / build_reps;
-        t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < build_reps; ++r) {
-            const MwpmDecoder probe(dem, 1, nullptr, MatchingBackend::Sparse);
-            (void)probe;
-        }
-        const double sparse_build = secondsSince(t0) / build_reps;
+        const double build = secondsSince(t0) / build_reps;
 
-        const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
+        const MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Dense);
         const MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
-        MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Sparse);
-        exact.setTruncation(SIZE_MAX);
+        const MwpmDecoder blossom(dem, 1, nullptr,
+                                  MatchingBackend::SparseBlossom);
         FrameSimulator sim(built.circuit, shots, 20240731);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-        MwpmScratch scratch;
+        MwpmScratch se, sd, sb;
 
-        std::vector<uint8_t> dense_pred(shots), sparse_pred(shots);
+        std::vector<uint8_t> exact_pred(shots);
+        std::vector<int64_t> exact_weight(shots);
         t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i)
-            dense_pred[i] =
-                dense.decode(syndromes.data(i), syndromes.count(i), scratch);
-        const double dense_decode = secondsSince(t0);
-        t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i)
-            sparse_pred[i] =
-                sparse.decode(syndromes.data(i), syndromes.count(i), scratch);
-        const double sparse_decode = secondsSince(t0);
-
-        size_t exact_disagree = 0, default_disagree = 0;
         for (size_t i = 0; i < shots; ++i) {
-            exact_disagree +=
-                dense_pred[i] != exact.decode(syndromes.data(i),
-                                              syndromes.count(i), scratch);
-            default_disagree += dense_pred[i] != sparse_pred[i];
+            exact_pred[i] =
+                exact.decode(syndromes.data(i), syndromes.count(i), se);
+            exact_weight[i] = se.lastWeight;
         }
-        if (exact_disagree)
-            all_agree = false;
+        const double exact_decode = secondsSince(t0);
+        size_t default_disagree = 0;
+        t0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < shots; ++i)
+            default_disagree +=
+                exact_pred[i] !=
+                sparse.decode(syndromes.data(i), syndromes.count(i), sd);
+        const double default_decode = secondsSince(t0);
+        size_t weight_mismatch = 0;
+        t0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < shots; ++i) {
+            (void)blossom.decode(syndromes.data(i), syndromes.count(i), sb);
+            weight_mismatch += sb.lastWeight != exact_weight[i];
+        }
+        const double blossom_decode = secondsSince(t0);
+        if (weight_mismatch)
+            weights_equal = false;
 
-        const size_t nodes = dense.graph().numNodes();
-        std::printf("%3d  %7zu  %8.3f ms  %9.4f ms  %7.1fx  %9.0f sh/s"
-                    "  %9.0f sh/s%s\n",
-                    d, nodes, 1e3 * dense_build, 1e3 * sparse_build,
-                    dense_build / std::max(1e-9, sparse_build),
-                    shots / std::max(1e-9, dense_decode),
-                    shots / std::max(1e-9, sparse_decode),
-                    exact_disagree ? "  DISAGREE (BUG)" : "");
+        const size_t nodes = exact.graph().numNodes();
+        std::printf("%3d  %7zu  %7.4f ms  %11.0f  %12.0f  %12.0f%s\n", d,
+                    nodes, 1e3 * build,
+                    shots / std::max(1e-9, exact_decode),
+                    shots / std::max(1e-9, default_decode),
+                    shots / std::max(1e-9, blossom_decode),
+                    weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "");
 
         const std::string suffix = "_d" + std::to_string(d);
-        report.metric("build_ms_dense" + suffix, 1e3 * dense_build);
-        report.metric("build_ms_sparse" + suffix, 1e3 * sparse_build);
-        report.metric("build_speedup" + suffix,
-                      dense_build / std::max(1e-9, sparse_build));
-        report.metric("decode_shots_per_sec_dense" + suffix,
-                      shots / std::max(1e-9, dense_decode));
+        report.metric("build_ms" + suffix, 1e3 * build);
+        report.metric("decode_shots_per_sec_exact" + suffix,
+                      shots / std::max(1e-9, exact_decode));
         report.metric("decode_shots_per_sec_sparse" + suffix,
-                      shots / std::max(1e-9, sparse_decode));
-        report.metric("exact_disagreements" + suffix,
-                      static_cast<double>(exact_disagree));
+                      shots / std::max(1e-9, default_decode));
+        report.metric("decode_shots_per_sec_blossom" + suffix,
+                      shots / std::max(1e-9, blossom_decode));
+        report.metric("weight_mismatches" + suffix,
+                      static_cast<double>(weight_mismatch));
         report.metric("default_agreement_rate" + suffix,
                       1.0 - static_cast<double>(default_disagree) / shots);
     }
     // ---- Burst syndromes: decode throughput vs fired-defect count ----
     // The regime Surf-Deformer's dynamic-defect scenarios produce:
     // cosmic-ray events fire large contiguous detector clusters. The
-    // dense path pays the k x k matrix + O(k^3) blossom; the rows path
-    // additionally builds (memoized) full Dijkstra rows; the matrix-free
-    // sparse blossom grows bounded balls and solves a sparse instance.
+    // rows paths build (memoized) Dijkstra rows per defect and solve the
+    // pairs they witness; the matrix-free matcher grows bounded balls
+    // and solves the pairs they discover.
     const int dburst = static_cast<int>(flagValue(argc, argv, "dburst", 11));
     bool burst_weights_equal = true;
     {
@@ -155,18 +153,18 @@ main(int argc, char **argv)
         const BuiltCircuit built =
             buildMemoryCircuit(squarePatch(dburst), spec, noise);
         const auto dem = buildDem(built.circuit, PauliType::Z);
-        const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
+        const MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Dense);
         MwpmDecoder rows(dem, 1, nullptr, MatchingBackend::Sparse);
-        rows.setBlossomThreshold(SIZE_MAX); // pin the rows + matrix path
+        rows.setBlossomThreshold(SIZE_MAX); // pin the default rows path
         const MwpmDecoder blossom(dem, 1, nullptr,
                                   MatchingBackend::SparseBlossom);
         std::printf("\nburst syndromes at d=%d (cluster-fired detectors; "
-                    "dense-vs-blossom weight gate on every shot):\n",
+                    "exact-vs-blossom weight gate on every shot):\n",
                     dburst);
-        std::printf("    k    dense sh/s     rows sh/s  blossom sh/s"
-                    "   vs dense   vs rows\n");
+        std::printf("    k    exact sh/s     rows sh/s  blossom sh/s"
+                    "   vs exact   vs rows\n");
         Rng rng(0xbadbeef);
-        MwpmScratch sd, sr, sb;
+        MwpmScratch se, sr, sb;
         for (const size_t kk : {8u, 16u, 32u, 64u, 128u}) {
             const size_t reps = std::max<size_t>(
                 4, static_cast<size_t>(s * 4096 / kk));
@@ -174,38 +172,38 @@ main(int argc, char **argv)
             bursts.reserve(reps);
             for (size_t r = 0; r < reps; ++r)
                 bursts.push_back(
-                    burstCluster(dem, dense.graph(), kk, rng));
+                    burstCluster(dem, exact.graph(), kk, rng));
+            std::vector<int64_t> exact_weight(reps);
             auto t0 = std::chrono::steady_clock::now();
-            for (const auto &b : bursts)
-                (void)dense.decode(b.data(), b.size(), sd);
-            const double t_dense = secondsSince(t0);
+            for (size_t r = 0; r < reps; ++r) {
+                (void)exact.decode(bursts[r].data(), bursts[r].size(), se);
+                exact_weight[r] = se.lastWeight;
+            }
+            const double t_exact = secondsSince(t0);
             t0 = std::chrono::steady_clock::now();
             for (const auto &b : bursts)
                 (void)rows.decode(b.data(), b.size(), sr);
             const double t_rows = secondsSince(t0);
-            t0 = std::chrono::steady_clock::now();
-            for (const auto &b : bursts)
-                (void)blossom.decode(b.data(), b.size(), sb);
-            const double t_blossom = secondsSince(t0);
             size_t weight_mismatch = 0;
-            for (const auto &b : bursts) {
-                (void)dense.decode(b.data(), b.size(), sd);
-                (void)blossom.decode(b.data(), b.size(), sb);
-                weight_mismatch += sd.lastWeight != sb.lastWeight;
+            t0 = std::chrono::steady_clock::now();
+            for (size_t r = 0; r < reps; ++r) {
+                (void)blossom.decode(bursts[r].data(), bursts[r].size(), sb);
+                weight_mismatch += sb.lastWeight != exact_weight[r];
             }
+            const double t_blossom = secondsSince(t0);
             if (weight_mismatch)
                 burst_weights_equal = false;
-            const double sps_dense = reps / std::max(1e-9, t_dense);
+            const double sps_exact = reps / std::max(1e-9, t_exact);
             const double sps_rows = reps / std::max(1e-9, t_rows);
             const double sps_blossom = reps / std::max(1e-9, t_blossom);
             std::printf("  %3zu  %10.0f    %10.0f    %10.0f   %7.2fx  "
                         "%7.2fx%s\n",
-                        kk, sps_dense, sps_rows, sps_blossom,
-                        sps_blossom / std::max(1e-9, sps_dense),
+                        kk, sps_exact, sps_rows, sps_blossom,
+                        sps_blossom / std::max(1e-9, sps_exact),
                         sps_blossom / std::max(1e-9, sps_rows),
                         weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "");
             const std::string suffix = "_k" + std::to_string(kk);
-            report.metric("burst_shots_per_sec_dense" + suffix, sps_dense);
+            report.metric("burst_shots_per_sec_exact" + suffix, sps_exact);
             report.metric("burst_shots_per_sec_rows" + suffix, sps_rows);
             report.metric("burst_shots_per_sec_blossom" + suffix,
                           sps_blossom);
@@ -230,7 +228,7 @@ main(int argc, char **argv)
                     4, static_cast<size_t>(s * 4096 / kk));
                 for (size_t r = 0; r < reps; ++r) {
                     const auto b =
-                        burstCluster(dem, dense.graph(), kk, rng2);
+                        burstCluster(dem, exact.graph(), kk, rng2);
                     (void)budgeted.decode(b.data(), b.size(), sq);
                 }
             }
@@ -253,13 +251,14 @@ main(int argc, char **argv)
         report.metric("row_mem_mib_budget64", budgeted_mib);
     }
 
-    const bool ok = all_agree && burst_weights_equal;
-    report.metric("backends_agree", all_agree ? 1.0 : 0.0);
+    const bool ok = weights_equal && burst_weights_equal;
+    report.metric("weights_equal", weights_equal ? 1.0 : 0.0);
     report.metric("burst_weights_equal", burst_weights_equal ? 1.0 : 0.0);
-    std::printf("\nbackends agree on every exact-regime shot: %s\n",
-                all_agree ? "yes" : "NO (BUG)");
-    std::printf("sparse blossom weight-equal to dense on every burst "
+    std::printf("\nmatcher weight-equal to exact rows on every sampled "
                 "shot: %s\n",
+                weights_equal ? "yes" : "NO (BUG)");
+    std::printf("matcher weight-equal to exact rows on every burst shot: "
+                "%s\n",
                 burst_weights_equal ? "yes" : "NO (BUG)");
     return ok ? 0 : 1;
 }

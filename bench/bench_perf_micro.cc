@@ -107,7 +107,9 @@ BENCHMARK(BM_DemExtraction)->Arg(3)->Arg(5)->Arg(9);
 void
 BM_MwpmDecode(benchmark::State &state)
 {
-    // Decode throughput per backend: args are (distance, backend).
+    // Decode throughput per backend: args are (distance, backend), 0 =
+    // Dense (exact rows: full-graph rows, no K-nearest mask, no burst
+    // dispatch), 1 = Sparse (the default).
     const int d = static_cast<int>(state.range(0));
     const auto backend = state.range(1) ? MatchingBackend::Sparse
                                         : MatchingBackend::Dense;
@@ -138,8 +140,9 @@ BM_DecodingGraphBuild(benchmark::State &state)
 {
     // Cold-path decoder-graph construction per backend: args are
     // (distance, backend). This is the cost every new deformed-patch
-    // shape pays before its first decoded shot; Sparse keeps only the
-    // CSR adjacency while Dense builds the all-pairs tables.
+    // shape pays before its first decoded shot. Both backends build the
+    // same CSR adjacency in O(edges); Dense is exact rows, which are
+    // built lazily by the first shots, not here.
     const int d = static_cast<int>(state.range(0));
     const auto backend = state.range(1) ? MatchingBackend::Sparse
                                         : MatchingBackend::Dense;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace surf {
 
@@ -22,28 +20,8 @@ edgeWeight(double p)
 
 } // namespace
 
-MatchingBackend
-defaultMatchingBackend()
-{
-    static const MatchingBackend def = [] {
-        const char *env = std::getenv("SURF_MATCHING_BACKEND");
-        if (env && std::strcmp(env, "dense") == 0)
-            return MatchingBackend::Dense;
-        if (env && (std::strcmp(env, "sparse_blossom") == 0 ||
-                    std::strcmp(env, "blossom") == 0))
-            return MatchingBackend::SparseBlossom;
-        if (env && *env && std::strcmp(env, "sparse") != 0 &&
-            std::strcmp(env, "rows") != 0)
-            warn(std::string("SURF_MATCHING_BACKEND='") + env +
-                 "' is not a known backend (dense, sparse, rows, "
-                 "sparse_blossom); using the sparse default");
-        return MatchingBackend::Sparse;
-    }();
-    return def;
-}
-
 DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
-                             ThreadPool *pool, MatchingBackend backend)
+                             MatchingBackend backend)
     : backend_(backend), tag_(tag)
 {
     local_of_.assign(dem.numDetectors, -1);
@@ -56,8 +34,8 @@ DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
     const int bnode = boundaryNode();
     // Build per-node adjacency in DEM edge order (both directions of an
     // edge appended as encountered), then flatten to CSR. The neighbor
-    // order fixes the Dijkstra relaxation order, which both backends
-    // share — identical witnesses for tie-broken shortest paths.
+    // order fixes the Dijkstra relaxation order, so every row's
+    // tie-broken shortest-path witnesses are reproducible.
     struct Dir
     {
         int to;
@@ -93,14 +71,9 @@ DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
     }
     csr_off_[numNodes() + 1] = off;
 
-    if (backend_ == MatchingBackend::Dense) {
-        buildApsp(pool);
-    } else {
-        rows_ =
-            std::vector<std::atomic<std::shared_ptr<const Row>>>(numNodes());
-        fast_rows_ = std::vector<std::atomic<const Row *>>(numNodes());
-        row_stamp_ = std::vector<std::atomic<uint64_t>>(numNodes());
-    }
+    rows_ = std::vector<std::atomic<std::shared_ptr<const Row>>>(numNodes());
+    fast_rows_ = std::vector<std::atomic<const Row *>>(numNodes());
+    row_stamp_ = std::vector<std::atomic<uint64_t>>(numNodes());
 }
 
 DecodingGraph::~DecodingGraph() = default;
@@ -127,7 +100,6 @@ DecodingGraph::memoryBytes() const
            csr_off_.capacity() * sizeof(uint32_t) +
            csr_to_.capacity() * sizeof(int) +
            csr_w_.capacity() * sizeof(double) + csr_obs_.capacity() +
-           dist_.capacity() * sizeof(float) + obs_.capacity() +
            rows_.size() * (sizeof(rows_[0]) + sizeof(fast_rows_[0]) +
                            sizeof(row_stamp_[0])) +
            (rows_resident_.load(std::memory_order_relaxed) + retired) *
@@ -179,15 +151,18 @@ DecodingGraph::enforceRowBudget() const
     }
 }
 
-void
-DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
-                      Row *record, bool bound_at_boundary) const
+DecodingGraph::Row *
+DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
 {
     // Pairs whose true distance sits within the quantization margin of
     // the radius bound must stay inside a bounded row, because an
     // integer-tied edge can still appear in an optimal matching.
     constexpr double kTieMargin = kWeightTieMargin;
     const size_t n = numNodes() + 1;
+    auto *row = new Row;
+    row->dist.assign(n, std::numeric_limits<float>::infinity());
+    row->par.assign(n, 0);
+    double cutoff = kInf;
     sc.bind(n);
     if (++sc.cur == 0) {
         std::fill(sc.gen.begin(), sc.gen.end(), 0);
@@ -211,12 +186,10 @@ DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
         const auto vi = static_cast<size_t>(v);
         if (dv > sc.dist[vi])
             continue; // stale entry: v already settled closer
-        if (record) {
-            record->dist[vi] = static_cast<float>(sc.dist[vi]);
-            record->par[vi] = sc.par[vi];
-            if (v == bnode && bound_at_boundary)
-                cutoff = 2.0 * dv + kTieMargin;
-        }
+        row->dist[vi] = static_cast<float>(sc.dist[vi]);
+        row->par[vi] = sc.par[vi];
+        if (v == bnode && !exact)
+            cutoff = 2.0 * dv + kTieMargin;
         const uint32_t b0 = csr_off_[vi], b1 = csr_off_[vi + 1];
         for (uint32_t i = b0; i < b1; ++i) {
             const auto to = static_cast<size_t>(csr_to_[i]);
@@ -232,27 +205,15 @@ DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
             }
         }
     }
-    if (record)
-        record->radius = cutoff;
-}
-
-DecodingGraph::Row *
-DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
-{
-    auto *row = new Row;
-    row->dist.assign(numNodes() + 1,
-                     std::numeric_limits<float>::infinity());
-    row->par.assign(numNodes() + 1, 0);
-    search(src, sc, kInf, row, !exact);
+    row->radius = cutoff;
     return row;
 }
 
 std::shared_ptr<const DecodingGraph::Row>
 DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
 {
-    SURF_ASSERT(backend_ != MatchingBackend::Dense &&
-                    static_cast<size_t>(src) < rows_.size(),
-                "row queries are a Sparse-backend defect-node facility");
+    SURF_ASSERT(static_cast<size_t>(src) < rows_.size(),
+                "row queries are a defect-node facility");
     auto &slot = rows_[static_cast<size_t>(src)];
     // Unbudgeted graphs (the default) never evict, so warm hits read a
     // raw mirror pointer with no refcount traffic and return a
@@ -343,8 +304,6 @@ void
 DecodingGraph::forEachResidentRow(
     const std::function<void(int src, const Row &row)> &fn) const
 {
-    if (backend_ == MatchingBackend::Dense)
-        return;
     for (size_t i = 0; i < rows_.size(); ++i) {
         // Owned handle: the row stays alive through the visit even if
         // the budget evicts the slot concurrently.
@@ -358,8 +317,6 @@ DecodingGraph::forEachResidentRow(
 bool
 DecodingGraph::restoreRow(int src, Row &&row) const
 {
-    if (backend_ == MatchingBackend::Dense)
-        return false;
     if (src < 0 || static_cast<size_t>(src) >= rows_.size())
         return false;
     const size_t n = numNodes() + 1;
@@ -391,36 +348,6 @@ DecodingGraph::restoreRow(int src, Row &&row) const
             enforceRowBudget();
     }
     return true;
-}
-
-void
-DecodingGraph::buildApsp(ThreadPool *pool)
-{
-    const size_t n = numNodes() + 1;
-    dist_.assign(n * (n + 1) / 2, std::numeric_limits<float>::infinity());
-    obs_.assign(n * (n + 1) / 2, 0);
-
-    // Exhaustive Dijkstra from every source through the shared kernel.
-    // Each source fills its own triangular row, so rows can run on any
-    // worker with an identical result.
-    std::vector<DijkstraScratch> scratch(pool ? pool->size() : 1);
-    auto fillRow = [&](size_t src, size_t worker) {
-        DijkstraScratch &sc = scratch[worker];
-        search(static_cast<int>(src), sc, kInf, nullptr, false);
-        for (size_t t = src; t < n; ++t) {
-            if (sc.gen[t] != sc.cur)
-                continue; // unreachable: stays at infinity
-            const size_t idx =
-                triIndex(static_cast<int>(src), static_cast<int>(t));
-            dist_[idx] = static_cast<float>(sc.dist[t]);
-            obs_[idx] = sc.par[t];
-        }
-    };
-    if (pool)
-        pool->parallelFor(n, fillRow);
-    else
-        for (size_t src = 0; src < n; ++src)
-            fillRow(src, 0);
 }
 
 } // namespace surf

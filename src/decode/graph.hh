@@ -2,22 +2,21 @@
  * @file
  * Matching graph for one CSS basis: detector nodes plus a virtual
  * boundary node with edge weights w = log((1-p)/p), stored as a CSR
- * adjacency. Two query backends answer shortest-path questions:
+ * adjacency. Construction is O(edges) for every backend; there is no
+ * precompute. Shortest-path questions are answered on demand:
  *
- *  - Sparse (default): no precompute. Distances and observable parities
- *    are answered by lazy Dijkstra searches from each fired defect,
- *    truncated to the nearest targets, using caller-owned epoch-stamped
- *    scratch state (reset is O(1), steady state allocates nothing).
- *    Graph construction is O(edges), so cold decoder builds are cheap.
- *  - Dense: the historical all-pairs shortest-path tables (flat
- *    triangular distance + observable-parity arrays). O(n^2 log n)
- *    build, O(1) queries. Kept for equivalence testing and for
- *    query-heavy workloads on small graphs.
+ *  - memoized rows (Sparse and Dense backends): one lazy Dijkstra row
+ *    per fired defect node, radius-bounded for Sparse and full-graph
+ *    ("exact") for Dense, built by whichever decode worker first needs
+ *    it and shared lock-free afterwards, using caller-owned
+ *    epoch-stamped scratch state (reset is O(1), steady state
+ *    allocates nothing);
+ *  - the SparseBlossom backend reads the CSR arrays directly and keeps
+ *    no rows.
  *
- * Both backends share one Dijkstra kernel (same relaxation order,
- * epsilon and float rounding), so every quantity the sparse backend
- * reports is bit-identical to the dense tables' entry for the same
- * (source, target) pair.
+ * Every row comes out of one Dijkstra kernel (fixed relaxation order,
+ * epsilon and float rounding), so a row's entries are pure functions of
+ * its source and radius policy.
  */
 
 #ifndef SURF_DECODE_GRAPH_HH
@@ -36,32 +35,23 @@
 
 namespace surf {
 
-class ThreadPool;
-
-/** Shortest-path query backend of a decoding graph. */
+/** Candidate-pair source of the MWPM decoder (see mwpm.hh). All three
+ *  solve through the same sparse blossom. */
 enum class MatchingBackend : uint8_t
 {
-    Dense,  ///< precomputed all-pairs tables
-    Sparse, ///< on-demand truncated Dijkstra rows + dense blossom
+    /** Exact rows: full-graph rows, every finite pair offered, no
+     *  K-nearest mask and no burst dispatch (Sparse at truncation
+     *  SIZE_MAX). */
+    Dense,
+    /** Radius-bounded rows with the K-nearest mask; burst shots are
+     *  dispatched to the matrix-free matcher. */
+    Sparse,
     /** Matrix-free sparse blossom (see sparse_blossom.hh): per-shot
-     *  bounded ball growth on the CSR adjacency + an adjacency-list
-     *  blossom solve; no rows, no k x k matrix. The graph itself stores
-     *  only the CSR arrays, exactly like Sparse. */
+     *  bounded ball growth on the CSR adjacency; no rows. */
     SparseBlossom,
 };
 
-/**
- * Process-wide default backend (read once, at first use) from the
- * environment variable SURF_MATCHING_BACKEND:
- *  - unset / "sparse": Sparse rows for small shots, with the decoder
- *    dispatching burst shots to the matrix-free sparse blossom
- *  - "dense": precomputed all-pairs tables
- *  - "rows": Sparse rows for every shot (no sparse-blossom dispatch)
- *  - "sparse_blossom" / "blossom": matrix-free matcher for every shot
- */
-MatchingBackend defaultMatchingBackend();
-
-/** Quantized matrix weights tie at 1/1024 granularity; radius-bounded
+/** Quantized matching weights tie at 1/1024 granularity; radius-bounded
  *  searches keep this margin so integer-tied pairs stay inside bounded
  *  rows and balls (shared by the row builder and the sparse blossom). */
 inline constexpr double kWeightTieMargin = 8.0 / 1024.0;
@@ -101,15 +91,11 @@ class DecodingGraph
   public:
     /**
      * @param tag 0 = X-check detectors, 1 = Z-check detectors
-     * @param pool optional worker pool for the Dense backend: the
-     *             all-pairs shortest-path rows are independent, so the
-     *             table build parallelises cleanly (the result is
-     *             identical for any worker count)
-     * @param backend query backend; Sparse skips all precompute
+     * @param backend recorded for the decoder and snapshot identity; the
+     *                graph itself is the same for every backend
      */
     DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
-                  ThreadPool *pool = nullptr,
-                  MatchingBackend backend = defaultMatchingBackend());
+                  MatchingBackend backend = MatchingBackend::Sparse);
     ~DecodingGraph();
 
     DecodingGraph(const DecodingGraph &) = delete;
@@ -132,26 +118,11 @@ class DecodingGraph
     /** Local node for a global detector id (-1 when not this tag). */
     int localOf(uint32_t global_det) const;
 
-    /** Shortest-path distance between local nodes (Dense backend only;
-     *  boundaryNode() ok). */
-    double
-    dist(int a, int b) const
-    {
-        return dist_[triIndex(a, b)];
-    }
-
-    /** Observable parity along one shortest path (Dense backend only). */
-    bool
-    obsParity(int a, int b) const
-    {
-        return obs_[triIndex(a, b)] != 0;
-    }
-
     /**
-     * One memoized shortest-path row (Sparse backend): distances and
-     * parities from a source node to everything within `radius`
-     * (infinity elsewhere: beyond the radius, or unreachable).
-     * Immutable once published; shared lock-free across decode workers.
+     * One memoized shortest-path row: distances and parities from a
+     * source node to everything within `radius` (infinity elsewhere:
+     * beyond the radius, or unreachable). Immutable once published;
+     * shared lock-free across decode workers.
      */
     struct Row
     {
@@ -161,15 +132,14 @@ class DecodingGraph
     };
 
     /**
-     * Memoized row for `src` (Sparse backend). Rows are built lazily by
-     * whichever decode worker first needs them — the scratch supplies
-     * the Dijkstra state — and then shared: a decoder that lives in the
+     * Memoized row for `src`. Rows are built lazily by whichever
+     * decode worker first needs them — the scratch supplies the
+     * Dijkstra state — and then shared: a decoder that lives in the
      * DeformedCodeCache answers later shots and later epochs at
      * table-lookup speed, while a shape that is decoded once only ever
      * pays for the rows its own defects touch.
      *
-     * When `exact`, the row covers the full graph and its entries are
-     * bit-identical to the dense backend's table row. Otherwise the row
+     * When `exact`, the row covers the full graph. Otherwise the row
      * is truncated at radius 2 * d(src, boundary): for any defect pair
      * (i, j), max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), so every pair
      * that could appear in a minimum-weight perfect matching (farther
@@ -230,10 +200,10 @@ class DecodingGraph
     uint64_t csrDigest() const;
 
     /**
-     * Visit every currently resident memoized row (Sparse backends
-     * only; no-op for Dense). Safe against concurrent publication and
-     * budget eviction: each slot is loaded as an owned handle for the
-     * duration of its visit. Used by the snapshot writer.
+     * Visit every currently resident memoized row. Safe against
+     * concurrent publication and budget eviction: each slot is loaded
+     * as an owned handle for the duration of its visit. Used by the
+     * snapshot writer.
      */
     void forEachResidentRow(
         const std::function<void(int src, const Row &row)> &fn) const;
@@ -253,38 +223,14 @@ class DecodingGraph
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   private:
-    void buildApsp(ThreadPool *pool);
-
     /**
-     * The one Dijkstra kernel both backends run — identical relaxation
-     * order, tie epsilon and float rounding, which is what makes sparse
-     * rows bit-compatible with the dense tables. With `record` null the
-     * frontier is exhausted into the scratch (dense table build);
-     * otherwise every settled node is written into the record row, and
-     * `bound_at_boundary` caps the radius at 2 * d(src, boundary) (plus
-     * a quantized-tie margin) the moment the boundary settles.
+     * The one Dijkstra kernel behind every row: fixed relaxation order
+     * (CSR neighbour order), tie epsilon and float rounding. Every
+     * settled node is written into the new row. It explores freely
+     * until the boundary settles, then caps the radius at
+     * 2 * d(src, boundary) plus a quantized-tie margin (infinite when
+     * `exact`).
      */
-    void search(int src, DijkstraScratch &sc, double cutoff, Row *record,
-                bool bound_at_boundary) const;
-
-    /**
-     * Index into the flat upper-triangular APSP storage (diagonal
-     * included): row a holds entries for targets t >= a. Symmetric
-     * lookups swap so (a, b) and (b, a) share one slot — shortest-path
-     * distance is symmetric, and either direction's shortest path is a
-     * valid witness for the observable parity.
-     */
-    size_t
-    triIndex(int a, int b) const
-    {
-        auto lo = static_cast<size_t>(a < b ? a : b);
-        auto hi = static_cast<size_t>(a < b ? b : a);
-        const size_t n = numNodes() + 1;
-        return lo * n - lo * (lo + 1) / 2 + hi;
-    }
-
-    /** Bounded Dijkstra for one row: explores freely until the boundary
-     *  settles, then caps the radius (infinite when `exact`). */
     Row *buildRow(int src, bool exact, DijkstraScratch &sc) const;
 
     MatchingBackend backend_;
@@ -293,20 +239,15 @@ class DecodingGraph
     std::vector<int> local_of_;
     // CSR adjacency over numNodes()+1 nodes (last = boundary). Neighbor
     // order matches the DEM edge order, which fixes the relaxation
-    // order shared by both backends.
+    // order of every search.
     std::vector<uint32_t> csr_off_;
     std::vector<int> csr_to_;
     std::vector<double> csr_w_;
     std::vector<uint8_t> csr_obs_;
-    // Dense backend only:
-    std::vector<float> dist_;  // flat triangular, see triIndex()
-    std::vector<uint8_t> obs_; // parities, same indexing; bytes so
-                               // parallel row fills don't share words
-                               // across rows
     /** Drop least-recently-used rows until the pool fits the budget. */
     void enforceRowBudget() const;
 
-    // Sparse backend only: lazily built, immutable-once-published rows.
+    // Lazily built, immutable-once-published rows.
     // Slots are atomic shared_ptrs so the budget can evict concurrently
     // with readers; per-slot use stamps drive the LRU choice. While no
     // budget has ever been set (the default), readers take a lock-free

@@ -1,20 +1,26 @@
 /**
  * @file
- * Shared integer weight construction of the MWPM decode paths. All
- * backends (dense tables, sparse rows + dense blossom, matrix-free
- * sparse blossom) build their matching instances through these helpers,
- * which is what makes their results comparable shot for shot:
+ * Shared integer weight construction of the MWPM decode paths. Every
+ * backend (exact rows, default rows, matrix-free sparse blossom) builds
+ * its matching instance through these helpers, which is what makes
+ * their results comparable shot for shot:
  *
  *  - distances are quantized at 1/1024 (llround(w * 1024)), so total
  *    matched weight is an exact cross-backend invariant;
  *  - below the quantized weight, kMatchTieBits low-order bits hold a
- *    deterministic hash of the endpoint *node ids*. Ordering by true
- *    weight is unchanged (the tie-break can never bridge a 1/1024
- *    step), but equal-weight matchings become generically distinct, so
- *    every backend — whichever blossom algorithm it runs — picks the
+ *    deterministic hash of the endpoint *node ids*, so equal-weight
+ *    matchings become generically distinct and every backend picks the
  *    same optimum on ties instead of an arbitrary algorithm-dependent
  *    one. Node ids are backend-independent, which makes the perturbed
  *    instance, and therefore the matching, backend-independent too.
+ *
+ * The hash never reorders two single edges (it stays below one 1/1024
+ * step), but it can reorder two matchings: summed over a matching's
+ * edges, the hashes can outweigh a step, so the minimum perturbed sum
+ * may belong to a matching 1/1024 heavier than the true optimum (3 of
+ * 16,384 shots at d=7, 20 rounds, p=5e-3). All backends minimise the
+ * same perturbed sum, so they still agree shot for shot; lastWeight
+ * reports the true weight of that matching.
  */
 
 #ifndef SURF_DECODE_MATCH_WEIGHTS_HH

@@ -2,36 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
-#include "decode/blossom.hh"
 #include "decode/match_weights.hh"
 #include "util/logging.hh"
 
 namespace surf {
-
-namespace {
-
-int64_t
-quantizeW(double w)
-{
-    return quantizeMatchWeight(w);
-}
-
-} // namespace
-
-size_t
-defaultBlossomThreshold()
-{
-    static const size_t def = [] {
-        const char *env = std::getenv("SURF_MATCHING_BACKEND");
-        if (env && std::strcmp(env, "rows") == 0)
-            return SIZE_MAX;
-        return size_t{0}; // automatic count + density heuristic
-    }();
-    return def;
-}
 
 bool
 MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
@@ -44,8 +20,8 @@ MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
         if (l >= 0)
             defects.push_back(l);
     }
-    // Both sparse paths rely on ascending defect node ids (the rows
-    // path's lo/hi pair cells, the matcher's binary-searched landing
+    // Both paths rely on ascending defect node ids (the rows path's
+    // lower-id witness, the matcher's binary-searched landing
     // collisions). Sorted fired lists (the simulator's CSR output) pass
     // the check for free; arbitrary callers get sorted here.
     if (!std::is_sorted(defects.begin(), defects.end()))
@@ -58,29 +34,14 @@ MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
         scratch.ladder.reset();
     if (defects.empty())
         return false;
-    if (scratch.deadline != nullptr && scratch.deadline->armed() &&
-        graph_.backend() != MatchingBackend::Dense)
-        // Deadline-armed shots run the staged fallback ladder. The Dense
-        // backend is pure table lookups + one bounded blossom with no
-        // cheaper stage to fall to, so it stays on its normal path.
+    if (scratch.deadline != nullptr && scratch.deadline->armed())
         return decodeLadder(scratch);
-    switch (graph_.backend()) {
-      case MatchingBackend::Dense:
-        return decodeDense(scratch);
-      case MatchingBackend::SparseBlossom:
-        return decodeSparseBlossom(scratch);
-      case MatchingBackend::Sparse:
-      default:
-        // Burst dispatch: past the threshold the matrix-free matcher
-        // avoids the k x k weight matrix and the dense O(k^3) blossom.
-        // Fully-exact mode (truncation SIZE_MAX) keeps the rows path on
-        // every shot — its contract is bit-identity with Dense, which
-        // the matcher only guarantees up to equal-weight ties.
-        return defects.size() >= blossomThreshold() &&
-                       truncate_k_ != SIZE_MAX
-                   ? decodeSparseBlossom(scratch)
-                   : decodeSparse(scratch);
-    }
+    // Burst dispatch: past the threshold the matrix-free matcher avoids
+    // building a full row per defect.
+    if (burst(defects.size()))
+        return sparseBlossomDecode(graph_, defects, scratch.blossom,
+                                   &scratch.lastWeight);
+    return decodeRows(scratch);
 }
 
 bool
@@ -93,11 +54,7 @@ MwpmDecoder::decodeLadder(MwpmScratch &sc) const
     // use it anyway (SparseBlossom backend, or Sparse past the burst
     // threshold). Non-burst shots skip straight to the rows stage: the
     // matcher is slower there and a downgrade must never be one.
-    const bool burst =
-        graph_.backend() == MatchingBackend::SparseBlossom ||
-        (sc.defects.size() >= blossomThreshold() &&
-         truncate_k_ != SIZE_MAX);
-    if (burst) {
+    if (burst(sc.defects.size())) {
         dl.beginStage(sc.stallNs[kStageBlossom]);
         bool timed_out = false;
         const bool obs =
@@ -113,7 +70,7 @@ MwpmDecoder::decodeLadder(MwpmScratch &sc) const
 
     // Stage 2 — memoized-rows MWPM under its own fresh budget.
     dl.beginStage(sc.stallNs[kStageRows]);
-    const bool obs = decodeSparse(sc);
+    const bool obs = decodeRows(sc);
     sc.ladder.note(kStageRows, dl.stageElapsedNs(), sc.timedOut);
     if (!sc.timedOut) {
         sc.ladder.answer = kStageRows;
@@ -126,150 +83,25 @@ MwpmDecoder::decodeLadder(MwpmScratch &sc) const
 }
 
 bool
-MwpmDecoder::decodeSparseBlossom(MwpmScratch &scratch) const
-{
-    return sparseBlossomDecode(graph_, scratch.defects, scratch.blossom,
-                               &scratch.lastWeight);
-}
-
-bool
-MwpmDecoder::decodeDense(MwpmScratch &scratch) const
-{
-    const auto &defects = scratch.defects;
-    const int k = static_cast<int>(defects.size());
-    const int bnode = graph_.boundaryNode();
-
-    // Closed-form fast paths for the overwhelmingly common low-weight
-    // syndromes — no blossom workspace needed. k = 1: the only perfect
-    // matching pairs the defect with its boundary copy. k = 2: either
-    // both defects match each other (their virtuals pair for free) or
-    // each goes to the boundary; pick the lighter total.
-    if (k == 1) {
-        const double db = graph_.dist(defects[0], bnode);
-        if (std::isfinite(db))
-            scratch.lastWeight = quantizeW(db);
-        return graph_.obsParity(defects[0], bnode);
-    }
-    if (k == 2) {
-        const double pair_w = graph_.dist(defects[0], defects[1]);
-        const double bdry_w =
-            graph_.dist(defects[0], bnode) + graph_.dist(defects[1], bnode);
-        if (pair_w <= bdry_w) {
-            if (!std::isfinite(pair_w))
-                return false;
-            scratch.lastWeight = quantizeW(pair_w);
-            return graph_.obsParity(defects[0], defects[1]);
-        }
-        scratch.lastWeight = quantizeW(graph_.dist(defects[0], bnode)) +
-                             quantizeW(graph_.dist(defects[1], bnode));
-        return graph_.obsParity(defects[0], bnode) ^
-               graph_.obsParity(defects[1], bnode);
-    }
-
-    // Complete graph on defects plus one virtual boundary copy each:
-    // defect i <-> defect j at path distance, defect i <-> its own virtual
-    // at boundary distance, virtual <-> virtual free.
-    const int n = 2 * k;
-    auto &w = scratch.weights;
-    w.assign(static_cast<size_t>(n) * n, kMatchForbidden);
-    auto at = [&](int a, int b) -> int64_t & {
-        return w[static_cast<size_t>(a) * n + b];
-    };
-    for (int i = 0; i < k; ++i) {
-        for (int j = i + 1; j < k; ++j) {
-            const double d = graph_.dist(defects[static_cast<size_t>(i)],
-                                         defects[static_cast<size_t>(j)]);
-            if (std::isfinite(d)) {
-                const int64_t iw = perturbedMatchWeight(
-                    d, defects[static_cast<size_t>(i)],
-                    defects[static_cast<size_t>(j)]);
-                at(i, j) = iw;
-                at(j, i) = iw;
-            }
-        }
-        const double db =
-            graph_.dist(defects[static_cast<size_t>(i)], bnode);
-        if (std::isfinite(db)) {
-            const int64_t iw = perturbedMatchWeight(
-                db, defects[static_cast<size_t>(i)], bnode);
-            at(i, k + i) = iw;
-            at(k + i, i) = iw;
-        }
-        for (int j = 0; j < k; ++j)
-            if (j != i) {
-                at(k + i, k + j) = 0;
-                at(k + j, k + i) = 0;
-            }
-    }
-    bool obs = false;
-    if (!minWeightPerfectMatching(n, w, scratch.mate)) {
-        // No perfect matching (disconnected leftovers): fall back to
-        // matching every defect to the boundary.
-        for (int i = 0; i < k; ++i) {
-            obs ^= graph_.obsParity(defects[static_cast<size_t>(i)], bnode);
-            const double db =
-                graph_.dist(defects[static_cast<size_t>(i)], bnode);
-            if (std::isfinite(db))
-                scratch.lastWeight += quantizeW(db);
-        }
-        return obs;
-    }
-    for (int i = 0; i < k; ++i) {
-        const int m = scratch.mate[static_cast<size_t>(i)];
-        if (m < k) {
-            if (m > i) {
-                obs ^= graph_.obsParity(defects[static_cast<size_t>(i)],
-                                        defects[static_cast<size_t>(m)]);
-                scratch.lastWeight += trueMatchWeight(at(i, m));
-            }
-        } else {
-            obs ^= graph_.obsParity(defects[static_cast<size_t>(i)], bnode);
-            scratch.lastWeight += trueMatchWeight(at(i, k + i));
-        }
-    }
-    return obs;
-}
-
-bool
-MwpmDecoder::decodeSparse(MwpmScratch &sc) const
+MwpmDecoder::decodeRows(MwpmScratch &sc) const
 {
     const auto &defects = sc.defects; // ascending local node ids
     const int k = static_cast<int>(defects.size());
     const int bnode = graph_.boundaryNode();
-    const size_t cols = static_cast<size_t>(k) + 1; // slot k = boundary
-    constexpr float kInf = std::numeric_limits<float>::infinity();
-
-    // Per-shot path cache over defect slots (and the boundary slot):
-    // filled once by the lazy searches; the closed forms, the matrix
-    // assembly and the post-blossom parity reads are all table lookups.
-    // Pairs share one (lo, hi) cell, filled by the run rooted at the
-    // smaller node id first — the same witness the dense tables store.
-    auto tri = [cols](int a, int b) {
-        const auto lo = static_cast<size_t>(a < b ? a : b);
-        const auto hi = static_cast<size_t>(a < b ? b : a);
-        return lo * cols + hi;
-    };
-    // Fill the per-shot path cache from the graph's memoized rows (each
-    // row is one lazy bounded Dijkstra, built at most once per graph and
-    // shared across shots, epochs and cache reuses). The (i, j) cell is
-    // witnessed by the smaller node id's row when it holds the pair —
-    // the same witness the dense tables store — and by the other
-    // endpoint's row otherwise: for any pair that can matter to the
-    // matching, max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B) puts it
-    // within at least one of the two radii.
-    const bool exact = truncate_k_ == SIZE_MAX;
+    const bool exact = exactRows();
     // Cooperative deadline poll (no-op with a null/disarmed deadline):
-    // row construction and the O(k^3) blossom solve are the two
-    // unbounded work chunks of this path, so the budget is checked
-    // before each row build and before each solve.
+    // row construction and the matching solve are the two unbounded
+    // work chunks of this path, so the budget is checked before each
+    // row build and before each solve.
     auto outOfTime = [&sc] {
         if (sc.deadline == nullptr || !sc.deadline->expired())
             return false;
         sc.timedOut = true;
         return true;
     };
-    sc.pathDist.assign(cols * cols, kInf);
-    sc.pathPar.assign(cols * cols, 0);
+    // One memoized row per defect (a lazy bounded Dijkstra, built at
+    // most once per graph and shared across shots, epochs and cache
+    // reuses).
     sc.rows.clear();
     for (int i = 0; i < k; ++i) {
         if (outOfTime())
@@ -277,153 +109,138 @@ MwpmDecoder::decodeSparse(MwpmScratch &sc) const
         sc.rows.push_back(graph_.row(defects[static_cast<size_t>(i)],
                                      exact, sc.dijkstra));
     }
-    for (int i = 0; i < k; ++i) {
-        const DecodingGraph::Row &ri = *sc.rows[static_cast<size_t>(i)];
-        const size_t bi = tri(i, k);
-        sc.pathDist[bi] = ri.dist[static_cast<size_t>(bnode)];
-        sc.pathPar[bi] = ri.par[static_cast<size_t>(bnode)];
-        for (int j = i + 1; j < k; ++j) {
-            const auto tj =
-                static_cast<size_t>(defects[static_cast<size_t>(j)]);
-            const size_t idx = tri(i, j);
-            if (std::isfinite(ri.dist[tj])) {
-                sc.pathDist[idx] = ri.dist[tj];
-                sc.pathPar[idx] = ri.par[tj];
-            } else {
-                const DecodingGraph::Row &rj =
-                    *sc.rows[static_cast<size_t>(j)];
-                const auto ti =
-                    static_cast<size_t>(defects[static_cast<size_t>(i)]);
-                if (std::isfinite(rj.dist[ti])) {
-                    sc.pathDist[idx] = rj.dist[ti];
-                    sc.pathPar[idx] = rj.par[ti];
-                }
-            }
-        }
-    }
+    auto rowOf = [&sc](int i) -> const DecodingGraph::Row & {
+        return *sc.rows[static_cast<size_t>(i)];
+    };
+    struct Path
+    {
+        float dist;
+        uint8_t par;
+    };
+    auto toBoundary = [&](int i) {
+        const auto b = static_cast<size_t>(bnode);
+        return Path{rowOf(i).dist[b], rowOf(i).par[b]};
+    };
+    // A pair is witnessed by the lower node id's row when that row holds
+    // it, and by the other endpoint's row otherwise: for any pair that
+    // can matter to the matching, max(2 d(i,B), 2 d(j,B)) >= d(i,B) +
+    // d(j,B) puts it within at least one of the two radii. Infinite
+    // distance = neither row holds the pair.
+    auto pairPath = [&](int i, int j) {
+        const int lo = std::min(i, j), hi = std::max(i, j);
+        const auto tl = static_cast<size_t>(defects[static_cast<size_t>(lo)]);
+        const auto th = static_cast<size_t>(defects[static_cast<size_t>(hi)]);
+        if (std::isfinite(rowOf(lo).dist[th]))
+            return Path{rowOf(lo).dist[th], rowOf(lo).par[th]};
+        return Path{rowOf(hi).dist[tl], rowOf(hi).par[tl]};
+    };
 
-    // Closed forms, identical to the dense backend (the table entries
-    // are bit-equal to the dense tables' for these always-exact cases).
+    // Closed forms for the overwhelmingly common low-weight syndromes.
+    // k = 1: the only perfect matching sends the defect to the boundary.
+    // k = 2: either the defects match each other or both go to the
+    // boundary; pick the lighter total.
     if (k == 1) {
-        if (std::isfinite(sc.pathDist[tri(0, 1)]))
-            sc.lastWeight = quantizeW(sc.pathDist[tri(0, 1)]);
-        return sc.pathPar[tri(0, 1)] != 0;
+        const Path b = toBoundary(0);
+        if (std::isfinite(b.dist))
+            sc.lastWeight = quantizeMatchWeight(b.dist);
+        return b.par != 0;
     }
     if (k == 2) {
-        const double pair_w = sc.pathDist[tri(0, 1)];
-        const double bdry_w = static_cast<double>(sc.pathDist[tri(0, 2)]) +
-                              static_cast<double>(sc.pathDist[tri(1, 2)]);
+        const Path p = pairPath(0, 1), b0 = toBoundary(0),
+                   b1 = toBoundary(1);
+        const double pair_w = p.dist;
+        const double bdry_w =
+            static_cast<double>(b0.dist) + static_cast<double>(b1.dist);
         if (pair_w <= bdry_w) {
             if (!std::isfinite(pair_w))
                 return false;
-            sc.lastWeight = quantizeW(pair_w);
-            return sc.pathPar[tri(0, 1)] != 0;
+            sc.lastWeight = quantizeMatchWeight(p.dist);
+            return p.par != 0;
         }
-        sc.lastWeight = quantizeW(sc.pathDist[tri(0, 2)]) +
-                        quantizeW(sc.pathDist[tri(1, 2)]);
-        return (sc.pathPar[tri(0, 2)] ^ sc.pathPar[tri(1, 2)]) != 0;
+        sc.lastWeight =
+            quantizeMatchWeight(b0.dist) + quantizeMatchWeight(b1.dist);
+        return (b0.par ^ b1.par) != 0;
     }
 
-    // K-nearest truncation of the matching graph (PyMatching-style):
-    // when the shot has more than K+1 defects, each defect only offers
-    // edges to its K nearest fellow defects (kept if either endpoint
-    // nominates the pair) plus its boundary edge.
+    // K-nearest truncation (PyMatching-style): when the shot has more
+    // than K+1 defects, a pair is offered only if one endpoint is among
+    // the other's K nearest fellow defects. Each defect's K nearest are
+    // the K smallest (distance, slot) keys, so the mask is one limit key
+    // per defect.
     const bool truncate =
         !exact && static_cast<size_t>(k - 1) > truncate_k_;
     if (truncate) {
-        sc.pairKeep.assign(static_cast<size_t>(k) * k, 0);
+        sc.nearLimit.assign(static_cast<size_t>(k),
+                            {std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<int>::max()});
         for (int i = 0; i < k; ++i) {
             sc.nearCand.clear();
             for (int j = 0; j < k; ++j) {
                 if (j == i)
                     continue;
-                const float d = sc.pathDist[tri(i, j)];
+                const float d = pairPath(i, j).dist;
                 if (std::isfinite(d))
                     sc.nearCand.push_back({d, j});
             }
-            if (sc.nearCand.size() > truncate_k_)
-                std::nth_element(
-                    sc.nearCand.begin(),
-                    sc.nearCand.begin() +
-                        static_cast<std::ptrdiff_t>(truncate_k_),
-                    sc.nearCand.end());
-            const size_t keep = std::min(truncate_k_, sc.nearCand.size());
-            for (size_t c = 0; c < keep; ++c)
-                sc.pairKeep[static_cast<size_t>(i) * k +
-                            sc.nearCand[c].second] = 1;
+            if (sc.nearCand.size() > truncate_k_) {
+                const auto kth = sc.nearCand.begin() +
+                                 static_cast<std::ptrdiff_t>(truncate_k_ - 1);
+                std::nth_element(sc.nearCand.begin(), kth,
+                                 sc.nearCand.end());
+                sc.nearLimit[static_cast<size_t>(i)] = *kth;
+            }
         }
     }
-
-    const int n = 2 * k;
-    auto &w = sc.weights;
-    auto at = [&](int a, int b) -> int64_t & {
-        return w[static_cast<size_t>(a) * n + b];
+    auto offered = [&sc](int i, int j, float d) {
+        return std::make_pair(d, j) <= sc.nearLimit[static_cast<size_t>(i)] ||
+               std::make_pair(d, i) <= sc.nearLimit[static_cast<size_t>(j)];
     };
-    auto buildMatrix = [&](bool use_mask) {
-        w.assign(static_cast<size_t>(n) * n, kMatchForbidden);
-        for (int i = 0; i < k; ++i) {
+
+    // Pair-or-boundary instance over defect slots, with the shared
+    // perturbed weights, solved through the mirror reduction.
+    MirrorMatchScratch &mm = sc.mirror;
+    mm.boundary.assign(static_cast<size_t>(k), -1);
+    for (int i = 0; i < k; ++i) {
+        const float db = toBoundary(i).dist;
+        if (std::isfinite(db))
+            mm.boundary[static_cast<size_t>(i)] = perturbedMatchWeight(
+                db, defects[static_cast<size_t>(i)], bnode);
+    }
+    auto solve = [&](bool use_mask) {
+        mm.pairs.clear();
+        for (int i = 0; i < k; ++i)
             for (int j = i + 1; j < k; ++j) {
-                if (use_mask &&
-                    !(sc.pairKeep[static_cast<size_t>(i) * k + j] |
-                      sc.pairKeep[static_cast<size_t>(j) * k + i]))
-                    continue;
-                const double d = sc.pathDist[tri(i, j)];
-                if (std::isfinite(d)) {
-                    const int64_t iw = perturbedMatchWeight(
-                        d, defects[static_cast<size_t>(i)],
-                        defects[static_cast<size_t>(j)]);
-                    at(i, j) = iw;
-                    at(j, i) = iw;
-                }
+                const float d = pairPath(i, j).dist;
+                if (std::isfinite(d) && (!use_mask || offered(i, j, d)))
+                    mm.pairs.push_back(
+                        {i, j,
+                         perturbedMatchWeight(
+                             d, defects[static_cast<size_t>(i)],
+                             defects[static_cast<size_t>(j)])});
             }
-            const double db = sc.pathDist[tri(i, k)];
-            if (std::isfinite(db)) {
-                const int64_t iw = perturbedMatchWeight(
-                    db, defects[static_cast<size_t>(i)], bnode);
-                at(i, k + i) = iw;
-                at(k + i, i) = iw;
-            }
-            for (int j = 0; j < k; ++j)
-                if (j != i) {
-                    at(k + i, k + j) = 0;
-                    at(k + j, k + i) = 0;
-                }
-        }
+        return mirrorMatch(k, mm);
     };
     if (outOfTime())
         return false;
-    buildMatrix(truncate);
-    bool found = minWeightPerfectMatching(n, w, sc.mate);
+    bool found = solve(truncate);
     if (!found && truncate) {
-        // Truncation left the matching graph without a perfect matching
+        // Truncation left the instance without a perfect matching
         // (isolated far-apart defects): retry with every known pair.
         if (outOfTime())
             return false;
-        buildMatrix(false);
-        found = minWeightPerfectMatching(n, w, sc.mate);
+        found = solve(false);
     }
     bool obs = false;
-    if (!found) {
-        // Genuinely disconnected leftovers: fall back to matching every
-        // defect to the boundary, exactly like the dense backend.
-        for (int i = 0; i < k; ++i) {
-            obs ^= sc.pathPar[tri(i, k)] != 0;
-            if (std::isfinite(sc.pathDist[tri(i, k)]))
-                sc.lastWeight += quantizeW(sc.pathDist[tri(i, k)]);
-        }
-        return obs;
-    }
     for (int i = 0; i < k; ++i) {
-        const int m = sc.mate[static_cast<size_t>(i)];
-        if (m < k) {
-            if (m > i) {
-                obs ^= sc.pathPar[tri(i, m)] != 0;
-                sc.lastWeight += trueMatchWeight(at(i, m));
-            }
-        } else {
-            obs ^= sc.pathPar[tri(i, k)] != 0;
-            sc.lastWeight += trueMatchWeight(at(i, k + i));
-        }
+        const int m = found ? mm.mate[static_cast<size_t>(i)] : k + i;
+        if (m < i)
+            continue; // counted from the partner's side
+        // Genuinely disconnected leftovers (no perfect matching) fall
+        // back to matching every defect to the boundary.
+        const Path p = m < k ? pairPath(i, m) : toBoundary(i);
+        obs ^= p.par != 0;
+        if (std::isfinite(p.dist))
+            sc.lastWeight += quantizeMatchWeight(p.dist);
     }
     return obs;
 }

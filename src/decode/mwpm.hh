@@ -5,33 +5,34 @@
  * paths of the decoding graph; the predicted observable flip is the XOR
  * of the observable parities along the matched paths.
  *
- * Two backends (see graph.hh): the default Sparse backend answers the
- * path queries with per-shot truncated Dijkstra searches from each
- * fired defect (O(defects x local search) per shot, O(edges) decoder
- * construction), while the Dense backend keeps the historical
- * precomputed all-pairs tables.
+ * Every solve goes through one exact solver, the sparse blossom's
+ * mirrorMatch (sparse_blossom.hh). The three backends (graph.hh) differ
+ * only in how they find the candidate pairs they hand it:
  *
- * The sparse backend memoizes one shortest-path row per fired defect
- * node (DecodingGraph::row): rows are built lazily by the decode
- * workers, shared lock-free, and persist with the graph — a decoder
- * living in the DeformedCodeCache reaches dense-table speed after its
- * first shots while never paying for rows no defect touches.
+ *  - Sparse (default) and Dense read them off memoized shortest-path
+ *    rows, one per fired defect node (DecodingGraph::row): rows are
+ *    built lazily by the decode workers, shared lock-free, and persist
+ *    with the graph, so a decoder living in the DeformedCodeCache
+ *    answers later shots at table-lookup speed while never paying for
+ *    rows no defect touches. The edge list is every defect pair a row
+ *    witnesses, plus each defect's boundary edge.
+ *  - SparseBlossom grows bounded balls on the CSR adjacency instead
+ *    (sparseBlossomDecode); Sparse dispatches burst shots to it too.
  *
- * Sparse exactness ladder:
- *  - setTruncation(SIZE_MAX): fully exact — rows cover the whole graph
- *    with values bit-identical to the dense tables, so predictions are
- *    bit-identical to the dense backend on every shot.
- *  - default (truncation K): rows are radius-bounded at 2 d(src, B);
- *    since max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), every pair that
- *    could appear in a minimum-weight perfect matching (farther pairs
- *    lose to matching both ends into the boundary) is present in at
- *    least one endpoint's row, so the returned matching is still
- *    minimum-weight — only the choice among equal-weight optima may
- *    differ from the dense backend. Shots with more than K+1 defects
- *    additionally truncate the matching graph to each defect's K
- *    nearest fellow defects (the PyMatching-style approximation), with
- *    an untruncated retry whenever that leaves the matching graph
- *    without a perfect matching.
+ * Exactness ladder of the rows path:
+ *  - Dense, or Sparse with setTruncation(SIZE_MAX): exact rows — rows
+ *    cover the whole graph, every finite pair is offered, no burst
+ *    dispatch.
+ *  - Sparse default (truncation K): rows are radius-bounded at
+ *    2 d(src, B); since max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B),
+ *    every pair that could appear in a minimum-weight perfect matching
+ *    (farther pairs lose to matching both ends into the boundary) is
+ *    present in at least one endpoint's row, so the returned matching
+ *    is still minimum-weight. Shots with more than K+1 defects
+ *    additionally keep only the pairs in which one endpoint is among the
+ *    other's K nearest fellow defects (the PyMatching-style
+ *    approximation), with an untruncated retry whenever that leaves no
+ *    perfect matching.
  */
 
 #ifndef SURF_DECODE_MWPM_HH
@@ -47,9 +48,11 @@
 
 namespace surf {
 
-/** Default per-defect neighbor budget of the sparse backend: searches
- *  stop after the K nearest fellow defects (plus the boundary), so any
- *  shot with at most K+1 defects is matched exactly. */
+class ThreadPool;
+
+/** Default K of the Sparse backend's K-nearest mask: each defect's
+ *  pairs to its K nearest fellow defects are kept, so any shot with at
+ *  most K+1 defects is matched over every pair its rows witness. */
 inline constexpr size_t kDefaultNearestDefects = 16;
 
 /** Floor of the automatic sparse-blossom dispatch threshold: the Sparse
@@ -58,46 +61,34 @@ inline constexpr size_t kDefaultNearestDefects = 16;
  *  density guard is what separates the two regimes on real workloads:
  *  a fired-defect count that is a sizable fraction of the whole graph
  *  only happens for contiguous burst clusters (cosmic-ray events),
- *  where ball growth stays a few edges wide and the matcher beats the
- *  rows + k x k matrix + O(k^3) blossom pipeline at every measured
- *  size — while scattered syndromes of any realistic count keep the
- *  memoized-rows fast path. Override with setBlossomThreshold(). */
+ *  while scattered syndromes of any realistic count keep the
+ *  memoized-rows path. Override with setBlossomThreshold(). */
 inline constexpr size_t kDefaultBlossomDefects = 16;
 
-/** Process-wide default for the sparse-blossom dispatch: automatic
- *  (count + density heuristic above), or never when
- *  SURF_MATCHING_BACKEND=rows pins the rows pipeline. Returns SIZE_MAX
- *  for "never", 0 for "automatic". */
-size_t defaultBlossomThreshold();
-
 /**
- * Reusable per-thread decode workspace. The defect list, the dense
- * matching weight matrix, the blossom mate buffer, the Dijkstra search
- * state and the per-shot path cache all keep their heap buffers across
- * calls, so a steady-state decode loop performs no allocation here.
- * Epoch-stamped arrays (Dijkstra state, defect-slot map) reset in O(1).
- * Each worker thread owns one scratch; the decoder itself stays
- * immutable and shareable, and one scratch may serve decoders of
+ * Reusable per-thread decode workspace. The defect list, the row
+ * handles, the Dijkstra search state and both matcher arenas keep their
+ * heap buffers across calls, so a steady-state decode loop performs no
+ * allocation here. Epoch-stamped arrays (Dijkstra state, ball covers)
+ * reset in O(1). Each worker thread owns one scratch; the decoder itself
+ * stays immutable and shareable, and one scratch may serve decoders of
  * different sizes.
  */
 struct MwpmScratch
 {
     std::vector<int> defects;
-    std::vector<int64_t> weights;
-    std::vector<int> mate; ///< blossom output buffer
 
-    // Sparse backend: lazy-search state plus the per-shot path cache
-    // (distance/parity per defect pair and per defect-boundary pair),
-    // filled once from the graph's memoized rows so matrix assembly and
-    // the final blossom re-queries are table reads.
+    // Rows path: lazy-search state, the shot's row handles and the
+    // K-nearest selection buffers.
     DijkstraScratch dijkstra;
-    std::vector<float> pathDist;
-    std::vector<uint8_t> pathPar;
     /** Shared row handles held for the duration of one shot, so a row
      *  budget eviction can never free a row mid-decode. */
     std::vector<std::shared_ptr<const DecodingGraph::Row>> rows;
-    std::vector<uint8_t> pairKeep; ///< K-nearest matrix truncation mask
     std::vector<std::pair<float, int>> nearCand;
+    /** Per defect: its K-th nearest (distance, slot), the last pair the
+     *  K-nearest mask keeps for it. */
+    std::vector<std::pair<float, int>> nearLimit;
+    MirrorMatchScratch mirror; ///< the rows path's instance + solver
 
     // Matrix-free matcher arena (ball growth, candidate hash, blossom
     // solver); used by the SparseBlossom backend and by burst shots the
@@ -106,9 +97,10 @@ struct MwpmScratch
 
     /** Total weight of the last decode's matching, in the shared
      *  quantization (sum of llround(w * 1024) over matched pair and
-     *  boundary paths). Identical across backends on every shot up to
-     *  the choice among equal-weight optima — the cross-backend
-     *  equivalence gates compare it directly. */
+     *  boundary paths). Exact rows and the matrix-free matcher report
+     *  the same value on every shot — the cross-backend equivalence
+     *  gates compare it directly; the default's K-nearest mask can
+     *  only make it heavier, on rare shots. */
     int64_t lastWeight = 0;
 
     // --- Soft-deadline ladder (see util/deadline.hh). All default-off:
@@ -132,24 +124,26 @@ class MwpmDecoder
 {
   public:
     /**
-     * @param pool optional workers for parallel table construction
-     *             (Dense backend only; Sparse builds in O(edges))
-     * @param backend query backend, default from SURF_MATCHING_BACKEND
+     * @param pool unused: decoders build in O(edges) with no table
+     *             precompute to parallelise (kept for source
+     *             compatibility)
+     * @param backend candidate-pair source (see the file comment)
      */
     MwpmDecoder(const DetectorErrorModel &dem, uint8_t tag,
-                ThreadPool *pool = nullptr,
-                MatchingBackend backend = defaultMatchingBackend())
-        : graph_(dem, tag, pool, backend)
+                [[maybe_unused]] ThreadPool *pool = nullptr,
+                MatchingBackend backend = MatchingBackend::Sparse)
+        : graph_(dem, tag, backend)
     {
     }
 
     const DecodingGraph &graph() const { return graph_; }
     MatchingBackend backend() const { return graph_.backend(); }
 
-    /** Sparse truncation knob: each defect's searches stop after its K
-     *  nearest fellow defects (and are radius-bounded via boundary
-     *  distances). SIZE_MAX = fully exact: no truncation, no radius
-     *  bound, bit-identical to Dense. Ignored by the Dense backend. */
+    /** Sparse truncation knob: each defect keeps pairs to its K nearest
+     *  fellow defects only, and rows are radius-bounded via boundary
+     *  distances. SIZE_MAX = fully exact: no truncation, no radius
+     *  bound, no burst dispatch — the Dense backend. Ignored by Dense,
+     *  which is always exact. */
     void setTruncation(size_t k) { truncate_k_ = k ? k : 1; }
     size_t truncation() const { return truncate_k_; }
 
@@ -157,8 +151,8 @@ class MwpmDecoder
      *  matrix-free sparse blossom (0 = always, SIZE_MAX = never). The
      *  default is automatic: max(kDefaultBlossomDefects, nodes / 12) —
      *  see blossomThreshold() for the resolved value. The SparseBlossom
-     *  backend ignores this and always uses the matcher; Dense always
-     *  uses the tables. */
+     *  backend ignores this and always uses the matcher; Dense never
+     *  dispatches. */
     void
     setBlossomThreshold(size_t k)
     {
@@ -185,13 +179,13 @@ class MwpmDecoder
      * (global); detectors of other tags are ignored. Thread-safe given a
      * per-thread scratch.
      *
-     * When `scratch.deadline` is armed (and the backend is not Dense),
-     * the shot runs the staged fallback ladder instead: sparse blossom
-     * (burst shots only) → memoized-rows MWPM, each stage under the
-     * soft per-stage budget. A stage that overruns is abandoned and the
-     * next stage tried; if the rows stage also overruns, the partial
-     * answer is returned with `scratch.timedOut` set and the caller is
-     * expected to downgrade to its union-find floor.
+     * When `scratch.deadline` is armed, the shot runs the staged
+     * fallback ladder instead: sparse blossom (burst shots only) →
+     * memoized-rows MWPM, each stage under the soft per-stage budget.
+     * A stage that overruns is abandoned and the next stage tried; if
+     * the rows stage also overruns, the partial answer is returned with
+     * `scratch.timedOut` set and the caller is expected to downgrade to
+     * its union-find floor.
      * `scratch.ladder` records stages tried and per-stage latencies.
      * @return predicted observable flip
      */
@@ -199,16 +193,28 @@ class MwpmDecoder
                 MwpmScratch &scratch) const;
 
   private:
-    bool decodeDense(MwpmScratch &scratch) const;
-    bool decodeSparse(MwpmScratch &scratch) const;
-    bool decodeSparseBlossom(MwpmScratch &scratch) const;
+    /** Exact rows: Dense, or Sparse at truncation SIZE_MAX. */
+    bool
+    exactRows() const
+    {
+        return graph_.backend() == MatchingBackend::Dense ||
+               truncate_k_ == SIZE_MAX;
+    }
+    /** Whether a shot of k defects goes to the matrix-free matcher. */
+    bool
+    burst(size_t k) const
+    {
+        return graph_.backend() == MatchingBackend::SparseBlossom ||
+               (!exactRows() && k >= blossomThreshold());
+    }
+    bool decodeRows(MwpmScratch &scratch) const;
     /** Deadline-armed path: blossom → rows with per-stage budgets. */
     bool decodeLadder(MwpmScratch &scratch) const;
 
     DecodingGraph graph_;
     size_t truncate_k_ = kDefaultNearestDefects;
-    size_t blossom_threshold_ = defaultBlossomThreshold();
-    bool auto_threshold_ = defaultBlossomThreshold() == 0;
+    size_t blossom_threshold_ = 0;
+    bool auto_threshold_ = true;
 };
 
 } // namespace surf

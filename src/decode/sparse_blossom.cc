@@ -15,15 +15,6 @@ namespace {
 constexpr float kInfF = std::numeric_limits<float>::infinity();
 constexpr double kInfD = std::numeric_limits<double>::infinity();
 
-int64_t
-quantize(float w)
-{
-    // Quantize the float-valued distance exactly like the matrix paths
-    // do (their per-shot caches store float rows), so the total matched
-    // weight is comparable bit-for-bit across backends.
-    return quantizeMatchWeight(static_cast<double>(w));
-}
-
 /**
  * The sparse blossom solver: maximum-weight general matching on an
  * adjacency-list graph, primal-dual with alternating trees, blossom
@@ -711,6 +702,24 @@ sparseMinWeightPerfectMatching(int n,
     return true;
 }
 
+bool
+mirrorMatch(int k, MirrorMatchScratch &sc)
+{
+    SURF_ASSERT(sc.boundary.size() == static_cast<size_t>(k),
+                "mirror instance needs one boundary weight per defect");
+    sc.edges.clear();
+    for (const SparseMatchEdge &e : sc.pairs) {
+        sc.edges.push_back(e);
+        sc.edges.push_back({k + e.a, k + e.b, e.w});
+    }
+    for (int t = 0; t < k; ++t)
+        if (sc.boundary[static_cast<size_t>(t)] >= 0)
+            sc.edges.push_back(
+                {t, k + t, 2 * sc.boundary[static_cast<size_t>(t)]});
+    return sparseMinWeightPerfectMatching(2 * k, sc.edges, sc.matcher,
+                                          sc.mate, nullptr);
+}
+
 namespace {
 
 /** Key of an unordered defect-slot pair in the candidate hash. */
@@ -752,8 +761,8 @@ growCandTable(SparseBlossomScratch &sc)
 }
 
 /** Record a candidate pair edge, keeping the best (weight, witness
- *  rank) per pair. Rank prefers the same witnesses the dense tables
- *  store: a ball landing exactly on the lower-id defect's row wins over
+ *  rank) per pair. Rank prefers the same witnesses the rows path
+ *  reads: a ball landing exactly on the lower-id defect's row wins over
  *  the higher-id one, which wins over frontier-crossing candidates. */
 void
 addCandidate(SparseBlossomScratch &sc, int a, int b, double w, uint8_t par,
@@ -1017,12 +1026,12 @@ sparseBlossomDecode(const DecodingGraph &graph,
     };
 
     // --- Closed forms for the common low-weight syndromes, identical
-    // decisions to the matrix paths (same float values, same compares).
+    // decisions to the rows path (same float values, same compares).
     if (closed_form) {
         drain();
         if (k == 1) {
             if (totalWeight && std::isfinite(bd(0)))
-                *totalWeight = quantize(sc.bDist[0]);
+                *totalWeight = quantizeMatchWeight(sc.bDist[0]);
             return sc.bPar[0] != 0;
         }
         const SparseBlossomScratch::Cand *c01 = findCandidate(sc, 0, 1);
@@ -1032,22 +1041,18 @@ sparseBlossomDecode(const DecodingGraph &graph,
             if (!std::isfinite(pair_w))
                 return false;
             if (totalWeight)
-                *totalWeight = quantize(c01->w);
+                *totalWeight = quantizeMatchWeight(c01->w);
             return c01->par != 0;
         }
         if (totalWeight)
-            *totalWeight = quantize(sc.bDist[0]) + quantize(sc.bDist[1]);
+            *totalWeight = quantizeMatchWeight(sc.bDist[0]) +
+                           quantizeMatchWeight(sc.bDist[1]);
         return (sc.bPar[0] ^ sc.bPar[1]) != 0;
     }
 
     // --- Adaptive growth + mirror reduction + sparse blossom ----------
-    // Nodes 0..k-1 are the defects, k..2k-1 their mirrors. Pair edges
-    // appear in both copies at the discovered weight; each defect joins
-    // its own mirror at twice its boundary cost. A minimum perfect
-    // matching restricted to the first copy is exactly an optimal
-    // pair-or-boundary assignment (both copies cost the optimum, so the
-    // doubled total is twice the matching weight dense blossom reports).
     bool solved = false;
+    MirrorMatchScratch &mm = sc.mirror;
     for (int round = 0; !solved; ++round) {
         // Cooperative deadline poll between growth/certificate rounds:
         // each round is a bounded chunk of work (drain to current caps +
@@ -1059,7 +1064,7 @@ sparseBlossomDecode(const DecodingGraph &graph,
         const bool exact_round = round >= kMaxRounds;
         if (exact_round)
             // Safety net: fully exact coverage (every ball explores its
-            // whole component; equivalent to the dense instance).
+            // whole component; equivalent to the exact-rows instance).
             std::fill(sc.ballCap.begin(), sc.ballCap.end(), kInfD);
         drain();
         // A ball is live while parked frontier remains; an exhausted
@@ -1074,42 +1079,38 @@ sparseBlossomDecode(const DecodingGraph &graph,
                        : kInfD;
         };
 
-        // Build the doubled instance from provably exact candidates: a
-        // stored pair weight within radius(a) + radius(b) is the true
+        // Build the instance from provably exact candidates: a stored
+        // pair weight within radius(a) + radius(b) is the true
         // shortest-path distance (the two balls jointly cover the path);
         // anything farther is dropped and left to the certificate.
-        sc.edges.clear();
+        mm.pairs.clear();
         for (uint32_t slot : sc.candSlots) {
             const auto &c = sc.candTable[static_cast<size_t>(slot)];
             const int a = static_cast<int>((c.key - 1) >> 32);
             const int b = static_cast<int>((c.key - 1) & 0xffffffffu);
             if (static_cast<double>(c.w) > radiusOf(a) + radiusOf(b))
                 continue;
-            // Perturbed weights (same node-id tie-break hash the matrix
-            // paths bake into their k x k entries), so every backend
-            // picks the same optimum even among equal-weight matchings.
-            const int64_t pw = perturbedMatchWeight(
-                static_cast<double>(c.w), defects[static_cast<size_t>(a)],
-                defects[static_cast<size_t>(b)]);
-            sc.edges.push_back({a, b, pw});
-            sc.edges.push_back({k + a, k + b, pw});
+            // Perturbed weights (the node-id tie-break hash the rows
+            // path bakes into its instance too), so every backend picks
+            // the same optimum even among equal-weight matchings.
+            mm.pairs.push_back(
+                {a, b,
+                 perturbedMatchWeight(static_cast<double>(c.w),
+                                      defects[static_cast<size_t>(a)],
+                                      defects[static_cast<size_t>(b)])});
         }
+        mm.boundary.assign(static_cast<size_t>(k), -1);
         for (int t = 0; t < k; ++t)
             if (std::isfinite(bd(t)))
-                sc.edges.push_back(
-                    {t, k + t,
-                     2 * perturbedMatchWeight(
-                             static_cast<double>(
-                                 sc.bDist[static_cast<size_t>(t)]),
-                             defects[static_cast<size_t>(t)], bnode)});
+                mm.boundary[static_cast<size_t>(t)] = perturbedMatchWeight(
+                    bd(t), defects[static_cast<size_t>(t)], bnode);
 
-        const bool perfect = sparseMinWeightPerfectMatching(
-            2 * k, sc.edges, sc.matcher, sc.mate, nullptr);
+        const bool perfect = mirrorMatch(k, mm);
         if (!perfect) {
             // Not matchable yet: boundaries unreached or clusters still
             // split. Grow every ball that still has frontier; if none
             // does, the instance is final and genuinely has no perfect
-            // matching (the matrix paths' all-boundary fallback).
+            // matching (the rows path's all-boundary fallback).
             bool grew = false;
             for (int t = 0; t < k; ++t)
                 if (sc.ballLive[static_cast<size_t>(t)]) {
@@ -1125,7 +1126,8 @@ sparseBlossomDecode(const DecodingGraph &graph,
                 for (int t = 0; t < k; ++t) {
                     obs ^= sc.bPar[static_cast<size_t>(t)] != 0;
                     if (std::isfinite(bd(t)))
-                        total += quantize(sc.bDist[static_cast<size_t>(t)]);
+                        total += quantizeMatchWeight(
+                            sc.bDist[static_cast<size_t>(t)]);
                 }
                 if (totalWeight)
                     *totalWeight = total;
@@ -1144,14 +1146,14 @@ sparseBlossomDecode(const DecodingGraph &graph,
         // stays within the ball's certified radius (one quantization
         // step of slack absorbs the rounding at the rim). Exhausted
         // balls pass vacuously.
-        const int64_t offset = sc.matcher.lastOffset;
+        const int64_t offset = mm.matcher.lastOffset;
         bool all_pass = true, grew = false;
         for (int t = 0; t < k; ++t) {
             if (!sc.ballLive[static_cast<size_t>(t)])
                 continue;
             const int64_t ys =
-                sc.matcher.dual[static_cast<size_t>(t)] +
-                sc.matcher.dual[static_cast<size_t>(k + t)];
+                mm.matcher.dual[static_cast<size_t>(t)] +
+                mm.matcher.dual[static_cast<size_t>(k + t)];
             const int64_t y8 = 4 * offset - ys; // 8 * Y_t, perturbed scale
             const double cap = sc.ballCap[static_cast<size_t>(t)];
             const int64_t threshold = (quantizeMatchWeight(cap) - 1)
@@ -1178,15 +1180,15 @@ sparseBlossomDecode(const DecodingGraph &graph,
     bool obs = false;
     int64_t total = 0;
     for (int t = 0; t < k; ++t) {
-        const int m = sc.mate[static_cast<size_t>(t)];
+        const int m = mm.mate[static_cast<size_t>(t)];
         if (m == k + t) {
             obs ^= sc.bPar[static_cast<size_t>(t)] != 0;
-            total += quantize(sc.bDist[static_cast<size_t>(t)]);
+            total += quantizeMatchWeight(sc.bDist[static_cast<size_t>(t)]);
         } else if (m > t && m < k) {
             const SparseBlossomScratch::Cand *c = findCandidate(sc, t, m);
             SURF_ASSERT(c != nullptr);
             obs ^= c->par != 0;
-            total += quantize(c->w);
+            total += quantizeMatchWeight(c->w);
         }
     }
     if (totalWeight)

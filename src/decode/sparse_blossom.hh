@@ -1,10 +1,17 @@
 /**
  * @file
- * Matrix-free sparse blossom matcher for burst syndromes (the
- * PyMatching-2-style backend of the MWPM decoder). Instead of building a
- * k x k weight matrix from per-defect shortest-path rows and running the
- * dense O(k^3) blossom, the matcher works directly on the decoding
- * graph's CSR adjacency:
+ * The one exact matching solver of the MWPM decoder, and the
+ * matrix-free burst matcher built on it.
+ *
+ * sparseMinWeightPerfectMatching is an adjacency-list blossom solver
+ * (alternating-tree growth with dual variables, region merging via
+ * blossom contraction, greedy mutual-best initialization) for minimum
+ * perfect matching on any edge list; mirrorMatch solves a
+ * pair-or-boundary decoding instance with it. Every MWPM decode goes
+ * through mirrorMatch: the rows path (mwpm.hh) hands it the pairs its
+ * memoized rows witness, sparseBlossomDecode the pairs its balls
+ * discover. sparseBlossomDecode (the PyMatching-2-style SparseBlossom
+ * backend) keeps no rows; it works directly on the CSR adjacency:
  *
  *  1. Discovery: one multi-source Dijkstra grows a ball outward from
  *     every fired defect simultaneously (one shared heap, globally
@@ -12,17 +19,10 @@
  *     growth resumes exactly where it stopped). Ball collisions (at
  *     shared nodes and across single CSR edges) emit sparse candidate
  *     edges (weight + observable parity); the best candidate per pair
- *     is kept in a small open-addressing hash, never a k x k matrix. A
- *     pair whose distance is within the two balls' cap sum is provably
- *     discovered at its exact shortest-path value.
- *  2. Matching: an adjacency-list blossom solver (alternating-tree
- *     growth with dual variables, region merging via blossom
- *     contraction, greedy mutual-best initialization) runs on the
- *     discovered defect graph. Boundary matching uses the mirror
- *     reduction — a second copy of the defect graph with each defect
- *     joined to its mirror at twice its boundary cost — whose minimum
- *     perfect matching restricted to the first copy is exactly an
- *     optimal pair-or-boundary assignment.
+ *     is kept in a small open-addressing hash. A pair whose distance is
+ *     within the two balls' cap sum is provably discovered at its exact
+ *     shortest-path value.
+ *  2. Matching: mirrorMatch on the discovered defect graph.
  *  3. Certification: the solve's own dual variables bound how far an
  *     undiscovered edge could still matter. Each defect whose
  *     (symmetrized, min-instance) dual exceeds its certified ball
@@ -35,12 +35,15 @@
  *     (For k <= 2 the closed forms need exact boundary distances, so
  *     those balls simply grow until the boundary settles.)
  *
- * Total matched weight (in the shared 1/1024 quantization) is exactly
- * equal to the dense backend's blossom on the same shot, and the shared
- * tie-break perturbation (match_weights.hh) makes even the choice among
- * equal-weight optima backend-independent. Per-shot cost scales with
- * the syndrome's local neighbourhood instead of k^2/k^3, which is what
- * makes high-defect burst syndromes (cosmic-ray clusters) affordable.
+ * Total matched weight (in the shared 1/1024 quantization) equals the
+ * rows path's on the same shot: both minimise the same
+ * tie-break-perturbed sum (match_weights.hh), so even the choice among
+ * equal-weight optima is backend-independent. That sum can favour a
+ * matching one 1/1024 step heavier than the true optimum on rare shots
+ * (the summed hashes can outweigh a step); every backend then reports
+ * the same heavier matching. Per-shot cost scales with the syndrome's
+ * local neighbourhood instead of k^2, which is what makes high-defect
+ * burst syndromes (cosmic-ray clusters) affordable.
  *
  * All state lives in caller-owned scratch arenas (epoch-stamped arrays,
  * pooled lists), so steady-state decoding performs no allocation.
@@ -103,8 +106,8 @@ struct SparseMatcherScratch
 /**
  * Minimum-weight perfect matching on a sparse graph given as an edge
  * list (parallel edges allowed; the cheapest wins). Exact: total weight
- * equals the dense blossom's on the equivalent complete graph with
- * absent pairs forbidden.
+ * equals the optimum over the equivalent complete graph with absent
+ * pairs forbidden.
  *
  * @param n vertex count
  * @param edges undirected weighted edges, weights >= 0
@@ -118,6 +121,40 @@ bool sparseMinWeightPerfectMatching(int n,
                                     SparseMatcherScratch &scratch,
                                     std::vector<int> &mate,
                                     int64_t *totalWeight = nullptr);
+
+/**
+ * Reusable arena of mirrorMatch: the caller's pair-or-boundary
+ * instance over k defect slots, the doubled matching graph and the
+ * solver arena.
+ */
+struct MirrorMatchScratch
+{
+    /** Input: defect-slot pair edges (a, b < k), perturbed weights. */
+    std::vector<SparseMatchEdge> pairs;
+    /** Input: per defect slot, its perturbed boundary weight, or -1
+     *  when the boundary is unreachable. */
+    std::vector<int64_t> boundary;
+    std::vector<SparseMatchEdge> edges; ///< the doubled instance
+    /** Solver arena; its duals stay readable after the solve (the
+     *  burst matcher's growth certificate reads them). */
+    SparseMatcherScratch matcher;
+    /** Output: mate[t] for t < k is the partner slot, or k + t when
+     *  defect t matches the boundary. */
+    std::vector<int> mate;
+};
+
+/**
+ * Minimum-weight pair-or-boundary matching of k defect slots through
+ * the mirror reduction: nodes 0..k-1 are the defects, k..2k-1 their
+ * mirrors; every pair edge appears in both copies and each defect joins
+ * its own mirror at twice its boundary weight. Both copies cost the
+ * optimum, so the minimum perfect matching restricted to the first copy
+ * is an optimal assignment (its doubled instance has twice its weight).
+ *
+ * @return true iff a perfect matching exists (every defect can be
+ *         paired or sent to the boundary)
+ */
+bool mirrorMatch(int k, MirrorMatchScratch &sc);
 
 /**
  * Reusable arena of the burst matcher: the multi-source Dijkstra state
@@ -177,10 +214,7 @@ struct SparseBlossomScratch
     std::vector<Cand> candTable;     ///< power-of-two open addressing
     std::vector<uint32_t> candSlots; ///< used slots (reset + iteration)
 
-    // Reduced (mirror) matching graph + solver.
-    std::vector<SparseMatchEdge> edges;
-    SparseMatcherScratch matcher;
-    std::vector<int> mate;
+    MirrorMatchScratch mirror; ///< discovered instance + solver
 };
 
 class DecodeDeadline;

@@ -178,8 +178,8 @@ deadTimeline(const ScenarioConfig &cfg, size_t events)
  */
 CachedTimeline
 buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
-                      DeformedCodeCache &cache, ThreadPool &pool,
-                      const FaultInjector *inject, DegradationLedger *ledger)
+                      DeformedCodeCache &cache, const FaultInjector *inject,
+                      DegradationLedger *ledger)
 {
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
@@ -249,7 +249,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             cs.circuit = buildStandaloneSegment(patch, standalone_spec,
                                                 dec_noise, seam, prev_patch);
             cs.dem = buildDem(cs.circuit, cfg.basis);
-            cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, &pool,
+            cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, nullptr,
                                                     cfg.matching);
             if (cfg.mwpmRowBudget)
                 cs.mwpm->setRowBudget(cfg.mwpmRowBudget);
@@ -318,9 +318,8 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         cfg.decodeDeadlineNs
             ? cfg.decodeDeadlineNs
             : (cfg.faults.hasDecoderStalls() ? kDefaultStallDeadlineNs : 0);
-    const bool ladder_on = deadline_ns != 0 &&
-                           cfg.matching != MatchingBackend::Dense &&
-                           cfg.decoder != DecoderKind::UnionFind;
+    const bool ladder_on =
+        deadline_ns != 0 && cfg.decoder != DecoderKind::UnionFind;
 
     // --- Resolve the stitched timeline: one lookup covers the seam
     // classification, circuit stitching and every per-epoch decode
@@ -330,12 +329,11 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     std::shared_ptr<const CachedTimeline> tlc;
     if (cfg.useCache) {
         tlc = cache.getTimeline(timelineCacheKey(plan, cfg), [&] {
-            return buildStitchedTimeline(plan, cfg, cache, pool, bi,
-                                         &tl.ledger);
+            return buildStitchedTimeline(plan, cfg, cache, bi, &tl.ledger);
         });
     } else {
         tlc = std::make_shared<const CachedTimeline>(
-            buildStitchedTimeline(plan, cfg, cache, pool, bi, &tl.ledger));
+            buildStitchedTimeline(plan, cfg, cache, bi, &tl.ledger));
     }
     if (!tlc->alive)
         return deadTimeline(cfg, plan.numEvents);

@@ -71,9 +71,9 @@ struct ScenarioConfig
     /** Matching backend of the per-epoch MWPM decoders (part of the
      *  decode-segment cache identity). The default Sparse backend
      *  dispatches burst shots to the matrix-free sparse blossom past
-     *  the decoder's defect threshold; Dense/SparseBlossom pin one
-     *  path for every shot. */
-    MatchingBackend matching = defaultMatchingBackend();
+     *  the decoder's defect threshold; Dense (exact rows) and
+     *  SparseBlossom pin one path for every shot. */
+    MatchingBackend matching = MatchingBackend::Sparse;
     /** LRU bound on each cached decoder's memoized Dijkstra row pool
      *  (rows per graph; 0 = unbounded). Caps decoder memory on long
      *  high-distance sweeps without changing any result. */

@@ -1,17 +1,22 @@
 /**
  * @file
- * Differential tests for the exact blossom matcher: hundreds of random
- * dense graphs compared against a brute-force minimum-weight perfect
- * matching, plus structured cases (forbidden edges, odd components).
+ * Differential tests for the dense O(n^3) blossom the matching oracle
+ * (dense_matching_oracle.hh) runs: hundreds of random dense graphs
+ * compared against a brute-force minimum-weight perfect matching, plus
+ * structured cases (forbidden edges, odd components). The equivalence
+ * tests trust that oracle, so it is checked independently here.
  */
 
 #include <gtest/gtest.h>
 
-#include "decode/blossom.hh"
+#include "dense_matching_oracle.hh"
 #include "util/rng.hh"
 
 namespace surf {
 namespace {
+
+using oracle::kMatchForbidden;
+using oracle::minWeightPerfectMatching;
 
 /** Brute force: try all perfect matchings recursively. */
 int64_t

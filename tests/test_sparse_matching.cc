@@ -1,11 +1,15 @@
 /**
  * @file
- * Equivalence tests for the sparse on-demand MWPM backend against the
- * dense all-pairs backend: bit-identical predictions on random
- * graphlike DEMs, on deformed-patch circuits at both basis tags, and
- * query-level agreement of the truncated Dijkstra with the dense
- * tables. Also: truncation fallback behavior, union-find invariance,
- * and the d=13 smoke test only the sparse backend can afford per-epoch.
+ * Equivalence tests for the MWPM decoder's backends against the
+ * test-side oracle (dense_matching_oracle.hh: all-pairs tables, the
+ * former rows + K-nearest mask + k x k matrix path, and the dense
+ * O(k^3) blossom they both ran): bit-identical predictions of exact
+ * rows on random graphlike DEMs and on deformed-patch circuits at both
+ * basis tags, query-level agreement of memoized rows with the tables,
+ * identical predictions and weights of the masked default config, and
+ * weight equality of the sparse solver and the matrix-free matcher.
+ * Also: truncation fallback behavior, union-find invariance, and the
+ * d=13 smoke test.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +20,11 @@
 
 #include "baselines/strategies.hh"
 #include "burst_syndromes.hh"
-#include "decode/blossom.hh"
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
 #include "decode/sparse_blossom.hh"
 #include "decode/union_find.hh"
+#include "dense_matching_oracle.hh"
 #include "lattice/rotated.hh"
 #include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
@@ -30,6 +34,11 @@
 
 namespace surf {
 namespace {
+
+using oracle::kMatchForbidden;
+using oracle::minWeightPerfectMatching;
+using oracle::OracleScratch;
+using oracle::TableDecoder;
 
 /** Random graphlike DEM: per-tag detector sets with random pairwise and
  *  boundary edges (connected enough to be interesting, but components
@@ -73,15 +82,18 @@ TEST(SparseMatching, BitIdenticalToDenseOnRandomDems)
     for (int trial = 0; trial < 30; ++trial) {
         const DetectorErrorModel dem = randomDem(rng);
         for (uint8_t tag : {0, 1}) {
-            const MwpmDecoder dense(dem, tag, nullptr,
-                                    MatchingBackend::Dense);
+            const TableDecoder dense(dem, tag);
             MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
             ASSERT_EQ(sparse.backend(), MatchingBackend::Sparse);
             // Fully exact sparse mode: bit-identity is guaranteed for
             // every syndrome, including ties between equal-weight
             // matchings (which random weights do produce).
             sparse.setTruncation(SIZE_MAX);
-            MwpmScratch ds, ss;
+            // The Dense backend is exact rows by construction.
+            const MwpmDecoder exact_rows(dem, tag, nullptr,
+                                         MatchingBackend::Dense);
+            OracleScratch ds;
+            MwpmScratch ss;
             for (int shot = 0; shot < 40; ++shot) {
                 std::set<uint32_t> fired_set;
                 const size_t n = rng.below(12);
@@ -90,10 +102,14 @@ TEST(SparseMatching, BitIdenticalToDenseOnRandomDems)
                         static_cast<uint32_t>(rng.below(dem.numDetectors)));
                 const std::vector<uint32_t> fired(fired_set.begin(),
                                                   fired_set.end());
-                ASSERT_EQ(dense.decode(fired.data(), fired.size(), ds),
-                          sparse.decode(fired.data(), fired.size(), ss))
+                const bool dn = dense.decode(fired.data(), fired.size(), ds);
+                ASSERT_EQ(dn, sparse.decode(fired.data(), fired.size(), ss))
                     << "trial " << trial << " tag " << int(tag) << " shot "
                     << shot;
+                ASSERT_EQ(dn,
+                          exact_rows.decode(fired.data(), fired.size(), ss))
+                    << "Dense backend, trial " << trial << " tag "
+                    << int(tag) << " shot " << shot;
             }
         }
     }
@@ -116,7 +132,7 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
             buildMemoryCircuit(out.patch, spec, noise);
         const auto dem = buildDem(built.circuit, basis);
         const uint8_t tag = (basis == PauliType::Z) ? 1 : 0;
-        const MwpmDecoder dense(dem, tag, nullptr, MatchingBackend::Dense);
+        const TableDecoder dense(dem, tag);
         MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
         // Fully exact sparse queries: bit-identity must hold on every
         // sampled shot, whatever its defect count.
@@ -124,7 +140,8 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
         FrameSimulator sim(built.circuit, 1500, 0xd0d0);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
         MwpmDecoder deflt(dem, tag, nullptr, MatchingBackend::Sparse);
-        MwpmScratch ds, ss;
+        OracleScratch ds;
+        MwpmScratch ss;
         size_t default_disagree = 0;
         for (size_t s = 0; s < sim.shots(); ++s) {
             const bool dn =
@@ -155,12 +172,11 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
     noise.p = 2e-3;
     const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
-    const DecodingGraph dense(dem, 1, nullptr, MatchingBackend::Dense);
-    const DecodingGraph exact_rows(dem, 1, nullptr, MatchingBackend::Sparse);
-    const DecodingGraph bounded_rows(dem, 1, nullptr,
-                                     MatchingBackend::Sparse);
-    const int n = static_cast<int>(dense.numNodes());
-    const int bnode = dense.boundaryNode();
+    const DecodingGraph exact_rows(dem, 1);
+    const DecodingGraph bounded_rows(dem, 1, MatchingBackend::Sparse);
+    const oracle::DenseTables dense(exact_rows);
+    const int n = static_cast<int>(exact_rows.numNodes());
+    const int bnode = exact_rows.boundaryNode();
     ASSERT_GT(n, 10);
 
     DijkstraScratch sc;
@@ -228,13 +244,14 @@ TEST(SparseMatching, TinyTruncationStillDecodesAndFallsBackExactly)
     noise.p = 2e-2; // dense syndromes: plenty of k > 2 shots
     const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
-    const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
+    const TableDecoder dense(dem, 1);
     MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
     sparse.setTruncation(1);
     EXPECT_EQ(sparse.truncation(), 1u);
     FrameSimulator sim(built.circuit, 400, 99);
     const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-    MwpmScratch ds, ss;
+    OracleScratch ds;
+    MwpmScratch ss;
     size_t big_shots = 0;
     for (size_t s = 0; s < sim.shots(); ++s) {
         const bool sp =
@@ -256,6 +273,99 @@ TEST(SparseMatching, TinyTruncationStillDecodesAndFallsBackExactly)
         ASSERT_EQ(sparse.decode(syndromes.data(s), syndromes.count(s), ss),
                   dense.decode(syndromes.data(s), syndromes.count(s), ds))
             << "post-upgrade shot " << s;
+}
+
+/** Counts of one masked-mode oracle comparison. */
+struct MaskedRun
+{
+    size_t masked = 0;     ///< rows-path shots with the K-nearest mask live
+    size_t mismatches = 0; ///< prediction or weight differences
+};
+
+/**
+ * Decoders against the former rows + K-nearest mask + k x k matrix +
+ * dense blossom path on the same instance, with equal predictions and
+ * equal matched weight required on every shot: the default Sparse
+ * decoder (mask, burst dispatch), a rows-pinned one (no dispatch), and
+ * a rows-pinned one at K = 4, where the mask binds on most shots.
+ */
+MaskedRun
+compareMaskedRows(const DetectorErrorModel &dem, const SparseSyndromes &syn,
+                  const char *what)
+{
+    const MwpmDecoder deflt(dem, 1);
+    EXPECT_EQ(deflt.blossomThreshold(),
+              std::max(kDefaultBlossomDefects,
+                       deflt.graph().numNodes() / 12));
+    MwpmDecoder rows(dem, 1), tight(dem, 1);
+    rows.setBlossomThreshold(SIZE_MAX);
+    tight.setBlossomThreshold(SIZE_MAX);
+    tight.setTruncation(4);
+    const oracle::RowsMatrixDecoder ref(dem, 1);
+    const oracle::RowsMatrixDecoder ref_rows(dem, 1, kDefaultNearestDefects,
+                                             false);
+    const oracle::RowsMatrixDecoder ref_tight(dem, 1, 4, false);
+    const std::pair<const MwpmDecoder *, const oracle::RowsMatrixDecoder *>
+        cases[] = {{&deflt, &ref}, {&rows, &ref_rows}, {&tight, &ref_tight}};
+    const char *names[] = {"default", "rows-pinned", "K=4"};
+    OracleScratch os;
+    MwpmScratch ms;
+    MaskedRun run;
+    for (size_t s = 0; s < syn.shots(); ++s) {
+        for (size_t c = 0; c < 3; ++c) {
+            const bool want =
+                cases[c].second->decode(syn.data(s), syn.count(s), os);
+            const bool got =
+                cases[c].first->decode(syn.data(s), syn.count(s), ms);
+            if ((got != want || ms.lastWeight != os.lastWeight) &&
+                run.mismatches++ == 0)
+                ADD_FAILURE() << what << " " << names[c] << " shot " << s
+                              << " k " << os.defects.size() << ": got "
+                              << got << "/" << ms.lastWeight << ", oracle "
+                              << want << "/" << os.lastWeight;
+        }
+        const size_t k = os.defects.size();
+        run.masked += k > kDefaultNearestDefects + 1 && !ref.burst(k);
+    }
+    return run;
+}
+
+TEST(SparseMatching, MaskedDefaultMatchesRowsMatrixOracle)
+{
+    // The memory_d9 benchmark code: d=9, 9 rounds, p=3e-3. Roughly half
+    // the shots carry more than K+1 = 17 defects, so the K-nearest mask
+    // is live on them.
+    MemorySpec spec;
+    spec.rounds = 9;
+    NoiseParams noise;
+    noise.p = 3e-3;
+    const BuiltCircuit built = buildMemoryCircuit(squarePatch(9), spec, noise);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    FrameSimulator sim(built.circuit, 2048, 0x6d61736b);
+    const MaskedRun run =
+        compareMaskedRows(dem, sim.sparseFiredDetectors(), "memory d=9");
+    EXPECT_EQ(run.mismatches, 0u);
+    EXPECT_GT(run.masked, sim.shots() / 4) << "mask rarely live";
+}
+
+TEST(SparseMatching, MaskedDefaultMatchesRowsMatrixOracleDefectAware)
+{
+    // A saturated data qubit (pDefect = 0.5) in the middle of a d=9
+    // patch, decoded by a defect-aware decoder: its p = 0.5 edges weigh
+    // next to nothing, so shots fire long defect chains around it.
+    MemorySpec spec;
+    spec.rounds = 9;
+    NoiseParams noise;
+    noise.p = 3e-3;
+    noise.pDefect = 0.5;
+    noise.defectiveSites = {{9, 9}};
+    const BuiltCircuit built = buildMemoryCircuit(squarePatch(9), spec, noise);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    FrameSimulator sim(built.circuit, 512, 0x73617475);
+    const MaskedRun run = compareMaskedRows(
+        dem, sim.sparseFiredDetectors(), "saturated qubit d=9");
+    EXPECT_EQ(run.mismatches, 0u);
+    EXPECT_GT(run.masked, sim.shots() / 4) << "mask rarely live";
 }
 
 TEST(SparseMatching, UnionFindUnchangedByBackendChoice)
@@ -392,12 +502,12 @@ TEST(SparseBlossom, WeightEqualsDenseOnRandomDems)
     for (int trial = 0; trial < 30; ++trial) {
         const DetectorErrorModel dem = randomDem(rng);
         for (uint8_t tag : {0, 1}) {
-            const MwpmDecoder dense(dem, tag, nullptr,
-                                    MatchingBackend::Dense);
+            const TableDecoder dense(dem, tag);
             const MwpmDecoder sb(dem, tag, nullptr,
                                  MatchingBackend::SparseBlossom);
             ASSERT_EQ(sb.backend(), MatchingBackend::SparseBlossom);
-            MwpmScratch ds, ss;
+            OracleScratch ds;
+            MwpmScratch ss;
             for (int shot = 0; shot < 40; ++shot) {
                 std::set<uint32_t> fired_set;
                 const size_t n = rng.below(14);
@@ -437,12 +547,13 @@ TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
         const BuiltCircuit built = buildMemoryCircuit(out.patch, spec, noise);
         const auto dem = buildDem(built.circuit, basis);
         const uint8_t tag = (basis == PauliType::Z) ? 1 : 0;
-        const MwpmDecoder dense(dem, tag, nullptr, MatchingBackend::Dense);
+        const TableDecoder dense(dem, tag);
         const MwpmDecoder sb(dem, tag, nullptr,
                              MatchingBackend::SparseBlossom);
         FrameSimulator sim(built.circuit, 1200, 0xc0de);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-        MwpmScratch ds, ss;
+        OracleScratch ds;
+        MwpmScratch ss;
         size_t pred_diff = 0;
         for (size_t s = 0; s < sim.shots(); ++s) {
             const bool dp =
@@ -474,12 +585,13 @@ TEST(SparseBlossom, BurstSyndromeWeightEqualityAtHighDefectCounts)
     noise.p = 2e-3;
     const BuiltCircuit built = buildMemoryCircuit(out.patch, spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
-    const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
+    const TableDecoder dense(dem, 1);
     const MwpmDecoder sb(dem, 1, nullptr, MatchingBackend::SparseBlossom);
     MwpmDecoder dispatch(dem, 1, nullptr, MatchingBackend::Sparse);
     dispatch.setBlossomThreshold(8);
     Rng rng(0xbadc0de);
-    MwpmScratch ds, ss, ps;
+    OracleScratch ds;
+    MwpmScratch ss, ps;
     for (size_t target : {16u, 32u, 64u, 96u}) {
         for (int rep = 0; rep < 8; ++rep) {
             const std::vector<uint32_t> fired =
@@ -590,10 +702,10 @@ TEST(SparseMatching, RowBudgetBoundsResidencyWithoutChangingResults)
 
 TEST(SparseMatching, D13MemoryExperimentSmoke)
 {
-    // d = 13: the dense backend's per-shape APSP build (triangular
-    // tables over ~1200 nodes per tag) makes scenario-scale sweeps
-    // impractical; the sparse backend runs it directly. Smoke-check the
-    // full pipeline end to end at the default (sparse) backend.
+    // d = 13: a per-shape all-pairs table build (triangular tables over
+    // ~1200 nodes per tag) would make scenario-scale sweeps
+    // impractical; memoized rows run it directly. Smoke-check the full
+    // pipeline end to end at the default (sparse) backend.
     MemoryExperimentConfig cfg;
     cfg.spec.rounds = 13;
     cfg.noise.p = 1e-3;
