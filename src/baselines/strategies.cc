@@ -2,7 +2,6 @@
 
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
-#include "util/logging.hh"
 
 namespace surf {
 
@@ -102,16 +101,6 @@ applyStrategyChecked(Strategy s, int d, int delta_d,
     return Status::invalidArgument(
         "applyStrategy: unknown Strategy value " +
         std::to_string(static_cast<int>(s)));
-}
-
-StrategyOutcome
-applyStrategy(Strategy s, int d, int delta_d, const std::set<Coord> &defects)
-{
-    StatusOr<StrategyOutcome> out = applyStrategyChecked(s, d, delta_d,
-                                                         defects);
-    if (!out.ok())
-        SURF_FATAL("applyStrategy: ", out.status().str());
-    return std::move(out.value());
 }
 
 } // namespace surf

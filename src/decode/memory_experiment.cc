@@ -15,7 +15,6 @@ runMemoryExperiment(const CodePatch &patch, const MemoryExperimentConfig &cfg)
     // the one-epoch path is bit-identical to the historical implementation
     // (same circuit, DEM, seed schedule, sharding and early stop).
     ScenarioConfig sc;
-    sc.timeline.d = 0; // unused: the plan is supplied explicitly
     sc.timeline.horizonRounds = static_cast<uint64_t>(cfg.spec.rounds);
     sc.basis = cfg.spec.basis;
     sc.noise = cfg.noise;
@@ -27,6 +26,10 @@ runMemoryExperiment(const CodePatch &patch, const MemoryExperimentConfig &cfg)
     sc.threads = cfg.threads;
     sc.decoderKnowsDefects = cfg.decoderKnowsDefects;
     sc.seed = cfg.seed;
+    // Zero shots, failures, batch size or rounds would hang or trip an
+    // invariant further down; reject them as the scenario engine does.
+    if (Status s = validateScenarioConfig(sc); !s.ok())
+        throw StatusError(s);
 
     ScenarioPlan plan;
     Epoch epoch;

@@ -60,7 +60,11 @@ struct MemoryExperimentResult
     double undetectableObsProb = 0.0;
 };
 
-/** Run the experiment for a (possibly deformed) patch. */
+/**
+ * Run the experiment for a (possibly deformed) patch. An invalid config
+ * (zero shots, failures, batch size or rounds, or an out-of-range
+ * probability) throws StatusError with INVALID_ARGUMENT.
+ */
 MemoryExperimentResult runMemoryExperiment(const CodePatch &patch,
                                            const MemoryExperimentConfig &cfg);
 

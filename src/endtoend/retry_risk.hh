@@ -111,10 +111,12 @@ struct ScenarioCrossCheck
  * engine: simulate full strategy-reactive timelines at a simulable
  * distance and compare the measured logical error rate with the
  * distance-loss-based analytic prediction for the identical workload.
+ * An invalid config throws StatusError.
  */
 ScenarioCrossCheck crossCheckRetryRisk(const ScenarioCrossCheckConfig &cfg);
 
-/** Estimate the retry risk of one program under one strategy. */
+/** Estimate the retry risk of one program under one strategy. An
+ *  invalid config (layout or distance-loss inputs) throws StatusError. */
 RetryRiskResult estimateRetryRisk(const BenchmarkProgram &program,
                                   const RetryRiskConfig &cfg);
 
@@ -122,7 +124,8 @@ RetryRiskResult estimateRetryRisk(const BenchmarkProgram &program,
  * Mean residual distance loss per burst event for a strategy, measured by
  * applying the strategy's actual deformation machinery to sampled burst
  * regions on a calibration patch. Results are cached per
- * (strategy, calibration d, delta_d, samples, seed).
+ * (strategy, calibration d, delta_d, samples, seed). An out-of-range d_cal
+ * or a negative delta_d throws StatusError with INVALID_ARGUMENT.
  */
 double measuredDistanceLoss(Strategy s, int d_cal, int delta_d, int samples,
                             uint64_t seed, int region_diameter);

@@ -45,8 +45,6 @@ planEpochs(const EpochPlannerConfig &cfg,
         if (it == outcomes.end()) {
             StatusOr<StrategyOutcome> out = applyStrategyChecked(
                 cfg.strategy, cfg.d, cfg.deltaD, *active);
-            if (!out.ok())
-                throw StatusError(out.status());
             it = outcomes.emplace(active_key, std::move(out.value())).first;
         }
         const StrategyOutcome &outcome = it->second;

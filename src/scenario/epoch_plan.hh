@@ -73,7 +73,8 @@ struct ScenarioPlan
  *  or recurring defect patterns dominate a timeline sweep). */
 using StrategyMemo = std::map<std::string, StrategyOutcome>;
 
-/** Plan the epochs of one timeline. */
+/** Plan the epochs of one timeline. A zero horizon or window, or a
+ *  strategy input applyStrategyChecked rejects, throws StatusError. */
 ScenarioPlan planEpochs(const EpochPlannerConfig &cfg,
                         const std::vector<DefectEvent> &events,
                         StrategyMemo *memo = nullptr);

@@ -763,23 +763,17 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
         const bool fab_inject = cfg.faults.fabQubitProb > 0.0 ||
                                 cfg.faults.fabCouplerProb > 0.0;
         FabDefectSample chip;
-        if (cfg.fabDefects.enabled()) {
-            StatusOr<FabDefectSample> sampled =
-                sampleFabDefectsChecked(base, cfg.fabDefects);
-            if (!sampled.ok())
-                return sampled.status();
-            chip = std::move(sampled.value());
-        }
+        if (cfg.fabDefects.enabled())
+            chip = std::move(
+                sampleFabDefectsChecked(base, cfg.fabDefects).value());
         out.fabDefectiveQubits = chip.qubits.size();
         out.fabDefectiveCouplers = chip.couplers.size();
         std::optional<FabAdaptation> chip_adapt;
         if (!chip.empty()) {
-            StatusOr<FabAdaptation> adapted = adaptFabDefectsChecked(
-                cfg.timeline.strategy, cfg.timeline.d, cfg.timeline.deltaD,
-                chip);
-            if (!adapted.ok())
-                return adapted.status();
-            chip_adapt = std::move(adapted.value());
+            chip_adapt = std::move(
+                adaptFabDefectsChecked(cfg.timeline.strategy, cfg.timeline.d,
+                                       cfg.timeline.deltaD, chip)
+                    .value());
             out.fabDisabledData = chip_adapt->disabledData;
             out.fabSuperClusters = chip_adapt->superClusters;
             out.fabDistX = chip_adapt->outcome.distX;
@@ -821,12 +815,11 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
                 FabDefectSample tl_sample = chip;
                 inject.injectFabDefects(timeline_salt, base, tl_sample);
                 if (!tl_sample.empty()) {
-                    StatusOr<FabAdaptation> adapted = adaptFabDefectsChecked(
-                        cfg.timeline.strategy, cfg.timeline.d,
-                        cfg.timeline.deltaD, tl_sample);
-                    if (!adapted.ok())
-                        return adapted.status();
-                    tl_adapt = std::move(adapted.value());
+                    tl_adapt = std::move(
+                        adaptFabDefectsChecked(cfg.timeline.strategy,
+                                               cfg.timeline.d,
+                                               cfg.timeline.deltaD, tl_sample)
+                            .value());
                     adapt = &*tl_adapt;
                 }
             }
@@ -910,15 +903,6 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
         // as values.
         return e.status();
     }
-}
-
-ScenarioResult
-runScenarioExperiment(const ScenarioConfig &cfg)
-{
-    StatusOr<ScenarioResult> result = runScenarioExperimentChecked(cfg);
-    if (!result.ok())
-        SURF_FATAL("scenario experiment: ", result.status().str());
-    return std::move(result.value());
 }
 
 } // namespace surf

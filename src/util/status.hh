@@ -1,19 +1,18 @@
 /**
  * @file
- * Structured error propagation for user-facing entry points. The repo's
- * historical error discipline is gem5-style: SURF_PANIC for internal
- * bugs (abort), SURF_FATAL for user errors (exit). That is fine for a
- * batch CLI but hostile to a long-running service: a malformed scenario
- * config, a corrupted defect stream or an inconsistent epoch plan must
- * come back to the caller as a diagnosable value, not a process exit.
+ * The library's one error path for user errors. A malformed scenario
+ * config, a corrupted defect stream or an inconsistent epoch plan comes
+ * back to the caller as a diagnosable value, never as a process exit.
  *
  * Status is a tiny absl-shaped result type: a code plus a human-readable
- * message. StatusOr<T> carries either a value or a non-OK Status.
- * StatusError wraps a Status in an exception for the layers where
- * threading a return value is impractical (deep inside cache build
- * callbacks, worker-pool tasks); the checked entry points catch it at
- * the boundary and hand the Status back. SURF_PANIC remains the right
- * tool for genuine invariant violations.
+ * message. StatusOr<T> carries either a value or a non-OK Status; the
+ * fallible (`...Checked`) entry points return it. StatusError wraps a
+ * Status in an exception: StatusOr::value() throws it on an error, the
+ * entry points that return a plain value throw it, and the layers where
+ * threading a return value is impractical (cache build callbacks,
+ * worker-pool tasks) throw it for the checked entry points to catch at
+ * the boundary and hand back as a Status. SURF_PANIC and SURF_ASSERT
+ * (util/logging.hh) are for bugs only.
  */
 
 #ifndef SURF_UTIL_STATUS_HH
@@ -137,7 +136,7 @@ class StatusError : public std::runtime_error
     Status status_;
 };
 
-/** Value-or-Status. Accessing value() on a non-OK result is a bug. */
+/** Value-or-Status. value() on a non-OK result throws StatusError. */
 template <typename T>
 class StatusOr
 {

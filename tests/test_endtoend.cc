@@ -9,6 +9,7 @@
 
 #include "endtoend/retry_risk.hh"
 #include "surgery/throughput.hh"
+#include "util/status.hh"
 
 namespace surf {
 namespace {
@@ -122,6 +123,24 @@ TEST(RetryRisk, MeasuredLossesAreOrdered)
     EXPECT_LT(ascs, ls); // untreated adds a spreading penalty on top
     EXPECT_LT(sd, 1.0);  // enlargement restores nearly everything
     EXPECT_GT(ascs, 2.0);
+}
+
+TEST(RetryRisk, MeasuredLossRejectsNegativeDeltaD)
+{
+    // The strategy runs on pool workers; its INVALID_ARGUMENT must reach
+    // the caller as a StatusError rethrown by the pool, not end the
+    // process from a worker thread.
+    EXPECT_THROW(
+        {
+            try {
+                measuredDistanceLoss(Strategy::SurfDeformer, 5, -1, 4, 1, 2);
+            } catch (const StatusError &e) {
+                EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+                    << e.what();
+                throw;
+            }
+        },
+        StatusError);
 }
 
 TEST(Programs, TableTwoRows)

@@ -338,9 +338,10 @@ TEST(FaultInjection, NoPlanAndNoDeadlineIsBitIdentical)
     const auto res = runScenarioExperimentChecked(quietConfig());
     ASSERT_TRUE(res.ok());
     EXPECT_TRUE(res.value().ledger.empty());
-    const ScenarioResult legacy = runScenarioExperiment(quietConfig());
-    EXPECT_EQ(res.value().failures, legacy.failures);
-    EXPECT_EQ(res.value().shots, legacy.shots);
+    const ScenarioResult rerun =
+        runScenarioExperimentChecked(quietConfig()).value();
+    EXPECT_EQ(res.value().failures, rerun.failures);
+    EXPECT_EQ(res.value().shots, rerun.shots);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "decode/memory_experiment.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
+#include "util/status.hh"
 
 namespace surf {
 namespace {
@@ -132,6 +133,43 @@ TEST(MemoryExperiment, EarlyStopOnTargetFailures)
     const auto res = runMemoryExperiment(squarePatch(3), cfg);
     EXPECT_GE(res.failures, 20u);
     EXPECT_LT(res.shots, 100000u);
+}
+
+/** Expect runMemoryExperiment to throw StatusError(INVALID_ARGUMENT). */
+void
+expectRejected(const MemoryExperimentConfig &cfg)
+{
+    EXPECT_THROW(
+        {
+            try {
+                runMemoryExperiment(squarePatch(3), cfg);
+            } catch (const StatusError &e) {
+                EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+                    << e.what();
+                throw;
+            }
+        },
+        StatusError);
+}
+
+TEST(MemoryExperiment, InvalidConfigThrowsStatusError)
+{
+    // Each of these used to hang or abort instead of reporting the bad
+    // field: a zero batch never advances the shot loop, zero shots or
+    // failures trip the binomial estimator's trials > 0 invariant, and
+    // zero rounds trip the segment builder's.
+    auto cfg = quickConfig(3, 100);
+    cfg.batchShots = 0;
+    expectRejected(cfg);
+    cfg = quickConfig(3, 100);
+    cfg.maxShots = 0;
+    expectRejected(cfg);
+    cfg = quickConfig(3, 100);
+    cfg.targetFailures = 0;
+    expectRejected(cfg);
+    cfg = quickConfig(3, 100);
+    cfg.spec.rounds = 0;
+    expectRejected(cfg);
 }
 
 } // namespace

@@ -33,7 +33,8 @@ Epoch
 makeEpoch(Strategy strategy, int d, int delta_d, uint64_t start,
           uint64_t rounds, const std::set<Coord> &active)
 {
-    const StrategyOutcome oc = applyStrategy(strategy, d, delta_d, active);
+    const StrategyOutcome oc =
+        applyStrategyChecked(strategy, d, delta_d, active).value();
     EXPECT_TRUE(oc.alive);
     Epoch e;
     e.startRound = start;
@@ -132,7 +133,7 @@ TEST(ScenarioEngine, ZeroDefectScenarioReproducesMemoryExperiment)
         sc.batchShots = 1024;
         sc.seed = 2024;
         sc.threads = 2;
-        const auto scen = runScenarioExperiment(sc);
+        const auto scen = runScenarioExperimentChecked(sc).value();
         ASSERT_EQ(scen.timelines.size(), 1u);
         EXPECT_EQ(scen.timelines[0].epochs.size(), 1u)
             << "window " << window << ": constant windows must merge";
@@ -359,9 +360,9 @@ TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
     sc.numTimelines = 2;
     sc.maxShotsPerTimeline = 128;
     sc.batchShots = 128;
-    const ScenarioResult free_cache = runScenarioExperiment(sc);
+    const ScenarioResult free_cache = runScenarioExperimentChecked(sc).value();
     sc.cacheMaxBytes = 1;
-    const ScenarioResult tiny_cache = runScenarioExperiment(sc);
+    const ScenarioResult tiny_cache = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(tiny_cache.failures, free_cache.failures);
     EXPECT_GT(tiny_cache.cacheEvictions, 0u);
 }
@@ -536,7 +537,7 @@ TEST(ScenarioEngine, SampledTimelinesRunEndToEnd)
     sc.maxShotsPerTimeline = 256;
     sc.batchShots = 128;
     sc.seed = 99;
-    const auto res = runScenarioExperiment(sc);
+    const auto res = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(res.timelines.size(), 4u);
     EXPECT_EQ(res.shots, 4u * 256u);
     EXPECT_GT(res.totalEpochs, 4u)
@@ -544,7 +545,7 @@ TEST(ScenarioEngine, SampledTimelinesRunEndToEnd)
     EXPECT_GT(res.cacheHits, 0u);
     // Bit-identical across thread counts through the public API as well.
     sc.threads = 8;
-    const auto res8 = runScenarioExperiment(sc);
+    const auto res8 = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(res8.failures, res.failures);
     EXPECT_EQ(res8.totalEpochs, res.totalEpochs);
 }

@@ -119,8 +119,9 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
 {
     // A Surf-Deformer-deformed patch (removal + enlargement around a
     // burst region) exercises irregular boundaries and seamed weights.
-    const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
-                                   {{5, 5}, {6, 6}});
+    const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
+                                          {{5, 5}, {6, 6}})
+                         .value();
     ASSERT_TRUE(out.alive);
     for (PauliType basis : {PauliType::Z, PauliType::X}) {
         MemorySpec spec;
@@ -374,7 +375,7 @@ TEST(SparseMatching, UnionFindUnchangedByBackendChoice)
     // its predictions must be identical however the MWPM graphs are
     // built, and across scratch reuse after the workspace rework.
     const auto out =
-        applyStrategy(Strategy::SurfDeformer, 5, 2, {{4, 5}});
+        applyStrategyChecked(Strategy::SurfDeformer, 5, 2, {{4, 5}}).value();
     ASSERT_TRUE(out.alive);
     MemorySpec spec;
     spec.rounds = 4;
@@ -535,8 +536,9 @@ TEST(SparseBlossom, WeightEqualsDenseOnRandomDems)
 
 TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
 {
-    const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
-                                   {{5, 5}, {6, 6}});
+    const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
+                                          {{5, 5}, {6, 6}})
+                         .value();
     ASSERT_TRUE(out.alive);
     for (PauliType basis : {PauliType::Z, PauliType::X}) {
         MemorySpec spec;
@@ -577,7 +579,8 @@ TEST(SparseBlossom, BurstSyndromeWeightEqualityAtHighDefectCounts)
     // 16..96 fired detectors (the paper's cosmic-ray events light up
     // whole regions). Weight equality with the dense blossom must hold
     // at every size, through the Sparse backend's dispatch as well.
-    const auto out = applyStrategy(Strategy::SurfDeformer, 9, 2, {{8, 9}});
+    const auto out =
+        applyStrategyChecked(Strategy::SurfDeformer, 9, 2, {{8, 9}}).value();
     ASSERT_TRUE(out.alive);
     MemorySpec spec;
     spec.rounds = 9;
@@ -639,7 +642,7 @@ TEST(SparseBlossom, ScenarioFailureCountsIdenticalAcrossBackends)
          {MatchingBackend::Dense, MatchingBackend::Sparse,
           MatchingBackend::SparseBlossom}) {
         cfg.matching = b;
-        const ScenarioResult res = runScenarioExperiment(cfg);
+        const ScenarioResult res = runScenarioExperimentChecked(cfg).value();
         EXPECT_GT(res.shots, 0u);
         std::vector<uint64_t> mism;
         for (const auto &tl : res.timelines)

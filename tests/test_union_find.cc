@@ -217,8 +217,9 @@ Q3deBurst
 q3deBurst(int d, size_t shots, uint64_t seed)
 {
     const auto out =
-        applyStrategy(Strategy::Q3de, d, 2,
-                      DefectSampler::regionSites({d - 1, d - 1}, 3));
+        applyStrategyChecked(Strategy::Q3de, d, 2,
+                             DefectSampler::regionSites({d - 1, d - 1}, 3))
+            .value();
     EXPECT_TRUE(out.alive);
     EXPECT_FALSE(out.residualDefects.empty());
     NoiseParams noise;
@@ -347,7 +348,8 @@ TEST(UnionFind, DeformedPatches)
         {{4, 5}}, {{5, 4}, {6, 5}}, DefectSampler::regionSites({4, 4}, 2)};
     for (size_t k = 0; k < defects.size(); ++k) {
         const auto out =
-            applyStrategy(Strategy::SurfDeformer, 5, 2, defects[k]);
+            applyStrategyChecked(Strategy::SurfDeformer, 5, 2, defects[k])
+                .value();
         ASSERT_TRUE(out.alive);
         NoiseParams noise;
         noise.p = 8e-3;
