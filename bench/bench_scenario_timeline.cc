@@ -311,13 +311,11 @@ main(int argc, char **argv)
         std::max(1e-9, warm_restart.seconds);
     const ScenarioResult &wr = warm_restart.result;
     std::printf("warm-restart: %5lu epochs in %6.2f s -> %7.1f epochs/s  "
-                "(restored %lu segments + %lu timelines + %lu rows in "
-                "%.1f ms)\n",
+                "(restored %lu segments + %lu timelines in %.1f ms)\n",
                 static_cast<unsigned long>(wr.totalEpochs),
                 warm_restart.seconds, warm_restart_eps,
                 static_cast<unsigned long>(wr.persistRestoredSegments),
                 static_cast<unsigned long>(wr.persistRestoredTimelines),
-                static_cast<unsigned long>(wr.persistRestoredRows),
                 1e3 * wr.persistRestoreSeconds);
 
     // Corruption pass: flip bits in the snapshot as it is written, then
@@ -365,8 +363,6 @@ main(int argc, char **argv)
                    static_cast<double>(wr.persistRestoredSegments));
     persist.metric("restored_timelines",
                    static_cast<double>(wr.persistRestoredTimelines));
-    persist.metric("restored_rows",
-                   static_cast<double>(wr.persistRestoredRows));
     persist.metric("rejected_records_clean",
                    static_cast<double>(wr.persistRejectedRecords));
     persist.metric("corrupt_rejected_records",

@@ -169,10 +169,9 @@ main(int argc, char **argv)
     if (!res.ledger.empty())
         std::printf("\ndegradation ledger:\n%s", res.ledger.summary().c_str());
     if (!cfg.persistDir.empty())
-        std::printf("\npersistence: restored %lu segments + %lu rows in "
-                    "%.1f ms; snapshot %.1f KiB in %s\n",
+        std::printf("\npersistence: restored %lu segments in %.1f ms; "
+                    "snapshot %.1f KiB in %s\n",
                     static_cast<unsigned long>(res.persistRestoredSegments),
-                    static_cast<unsigned long>(res.persistRestoredRows),
                     1e3 * res.persistRestoreSeconds,
                     res.persistSnapshotBytes / 1024.0,
                     cfg.persistDir.c_str());

@@ -300,54 +300,4 @@ DecodingGraph::csrDigest() const
     return h;
 }
 
-void
-DecodingGraph::forEachResidentRow(
-    const std::function<void(int src, const Row &row)> &fn) const
-{
-    for (size_t i = 0; i < rows_.size(); ++i) {
-        // Owned handle: the row stays alive through the visit even if
-        // the budget evicts the slot concurrently.
-        std::shared_ptr<const Row> r =
-            rows_[i].load(std::memory_order_acquire);
-        if (r)
-            fn(static_cast<int>(i), *r);
-    }
-}
-
-bool
-DecodingGraph::restoreRow(int src, Row &&row) const
-{
-    if (src < 0 || static_cast<size_t>(src) >= rows_.size())
-        return false;
-    const size_t n = numNodes() + 1;
-    if (row.dist.size() != n || row.par.size() != n)
-        return false;
-    if (!(row.radius >= 0.0)) // rejects NaN and negative radii
-        return false;
-    auto &slot = rows_[static_cast<size_t>(src)];
-    std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
-    if (cur)
-        return false; // a live row exists; values are identical anyway
-    std::shared_ptr<const Row> fresh =
-        std::make_shared<const Row>(std::move(row));
-    if (!slot.compare_exchange_strong(cur, fresh,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire))
-        return false; // lost a publish race to a decode worker
-    // Same bookkeeping as row()'s first publication, except rows_built_
-    // stays untouched: a restore avoids a build, it doesn't perform one.
-    rows_resident_.fetch_add(1, std::memory_order_relaxed);
-    fast_rows_[static_cast<size_t>(src)].store(fresh.get(),
-                                               std::memory_order_release);
-    if (row_budget_.load(std::memory_order_relaxed)) {
-        row_stamp_[static_cast<size_t>(src)].store(
-            row_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        if (rows_resident_.load(std::memory_order_relaxed) >
-            row_budget_.load(std::memory_order_relaxed))
-            enforceRowBudget();
-    }
-    return true;
-}
-
 } // namespace surf

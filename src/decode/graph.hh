@@ -14,6 +14,10 @@
  *  - the SparseBlossom backend reads the CSR arrays directly and keeps
  *    no rows.
  *
+ * row() is the only way a row enters the graph: the cache snapshot
+ * stores the DEM and the CSR digest, not rows, so a restored graph
+ * starts empty and rebuilds its rows on demand like a cold one.
+ *
  * Every row comes out of one Dijkstra kernel (fixed relaxation order,
  * epsilon and float rounding), so a row's entries are pure functions of
  * its source and radius policy.
@@ -24,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -195,30 +198,9 @@ class DecodingGraph
      * have equal digests; the snapshot loader compares a restored
      * entry's recorded digest against the graph it rebuilds to catch
      * semantically inconsistent snapshots (a payload that passed its
-     * CRC but belongs to different code) before any row is trusted.
+     * CRC but belongs to different code) before the entry is cached.
      */
     uint64_t csrDigest() const;
-
-    /**
-     * Visit every currently resident memoized row. Safe against
-     * concurrent publication and budget eviction: each slot is loaded
-     * as an owned handle for the duration of its visit. Used by the
-     * snapshot writer.
-     */
-    void forEachResidentRow(
-        const std::function<void(int src, const Row &row)> &fn) const;
-
-    /**
-     * Publish a previously memoized row into an empty slot — the
-     * snapshot-restore path. Rows are pure functions of (src, radius
-     * policy), so a restored row is bit-identical to what the first
-     * decode worker would have built; publishing uses the same CAS
-     * discipline as row(), so restores race safely against concurrent
-     * readers and row-budget reclamation. Rejects (returns false)
-     * out-of-range sources, size-mismatched arrays, non-finite
-     * negative radii and occupied slots; never aborts.
-     */
-    bool restoreRow(int src, Row &&row) const;
 
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 

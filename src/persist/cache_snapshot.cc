@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include <unistd.h>
 
@@ -143,25 +142,11 @@ readDem(ByteReader &r, DetectorErrorModel &dem)
     return true;
 }
 
-struct SavedRow
-{
-    int src;
-    DecodingGraph::Row row;
-};
-
 void
 writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
-                   const CachedSegment &seg, double cost, uint64_t &rowsOut)
+                   const CachedSegment &seg, double cost)
 {
-    // Collect the resident rows once (a single coherent pass), then
-    // write; forEachResidentRow holds each row as an owned handle.
     const DecodingGraph &g = seg.mwpm->graph();
-    std::vector<SavedRow> rows;
-    g.forEachResidentRow([&](int src, const DecodingGraph::Row &row) {
-        rows.push_back({src, row});
-    });
-    rowsOut += rows.size();
-
     std::string &payload = snap.beginRecord(kRecSegment);
     ByteWriter w(payload);
     w.str(key);
@@ -171,21 +156,11 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     writeCircuit(w, seg.circuit);
     writeDem(w, seg.dem);
     w.u64(g.csrDigest());
-    w.u64(rows.size());
-    for (const SavedRow &sr : rows) {
-        w.u64(static_cast<uint64_t>(sr.src));
-        w.f64(sr.row.radius);
-        w.u64(sr.row.dist.size());
-        for (float d : sr.row.dist)
-            w.f32(d);
-        w.bytes(sr.row.par.data(), sr.row.par.size());
-    }
     w.f64(cost);
     snap.endRecord();
 }
 
-/** Restore one segment record; returns rows restored, or nullopt-style
- *  false on rejection (nothing inserted). */
+/** Restore one segment record; false on rejection (nothing inserted). */
 bool
 restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
                      SnapshotRestoreStats &stats)
@@ -208,44 +183,16 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
         return false;
 
     const uint64_t digest = r.u64();
-    const uint64_t n_rows = r.u64();
-    if (!r.ok() || n_rows > r.remaining())
-        return false;
-    size_t n_tag_nodes = 0;
-    for (uint8_t t : cs.dem.detectorTag)
-        n_tag_nodes += t == tag;
-    const uint64_t row_len = n_tag_nodes + 1;
-
-    std::vector<SavedRow> rows;
-    rows.reserve(static_cast<size_t>(n_rows));
-    for (uint64_t i = 0; i < n_rows; ++i) {
-        const uint64_t src = r.u64();
-        const double radius = r.f64();
-        const uint64_t len = r.u64();
-        if (!r.ok() || len != row_len || src >= n_tag_nodes ||
-            len * 5 > r.remaining() || !(radius >= 0.0))
-            return false;
-        SavedRow sr;
-        sr.src = static_cast<int>(src);
-        sr.row.radius = radius;
-        sr.row.dist.reserve(static_cast<size_t>(len));
-        for (uint64_t k = 0; k < len; ++k)
-            sr.row.dist.push_back(r.f32());
-        const char *par = r.bytes(static_cast<size_t>(len));
-        if (!par)
-            return false;
-        sr.row.par.assign(par, par + len);
-        rows.push_back(std::move(sr));
-    }
     const double cost = r.f64();
     if (!r.ok() || !(std::isfinite(cost) && cost >= 0.0))
         return false;
 
-    // Rebuild the decoders from the validated DEM (O(edges), the cheap
-    // part the sparse backends made cheap), then verify the rebuilt
-    // graph's CSR digest against the recorded one: a payload that passed
-    // its CRC but describes a different code — the semantic-signature
-    // mismatch — is rejected here, before any row is trusted.
+    // Rebuild the decoders from the validated DEM (O(edges)), then
+    // verify the rebuilt graph's CSR digest against the recorded one: a
+    // payload that passed its CRC but describes a different code — the
+    // semantic-signature mismatch — is rejected here, before the entry
+    // is cached. The graph starts with no rows; decode builds them on
+    // demand.
     cs.mwpm = std::make_unique<MwpmDecoder>(
         cs.dem, tag, nullptr, static_cast<MatchingBackend>(backend));
     cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
@@ -253,9 +200,6 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
         return false;
     if (row_budget)
         cs.mwpm->setRowBudget(static_cast<size_t>(row_budget));
-    for (SavedRow &sr : rows)
-        if (cs.mwpm->graph().restoreRow(sr.src, std::move(sr.row)))
-            ++stats.rows;
 
     if (cache.restoreSegment(key, std::move(cs), cost))
         ++stats.segments;
@@ -357,7 +301,7 @@ saveCacheSnapshot(const DeformedCodeCache &cache, const std::string &path,
     // segments already in the cache, in one forward pass.
     cache.forEachSegment([&](const std::string &key, const CachedSegment &seg,
                              double cost) {
-        writeSegmentRecord(snap, key, seg, cost, stats.rows);
+        writeSegmentRecord(snap, key, seg, cost);
         ++stats.segments;
     });
     cache.forEachTimeline([&](const std::string &key,

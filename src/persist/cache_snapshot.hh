@@ -1,18 +1,20 @@
 /**
  * @file
  * DeformedCodeCache snapshot: serialize the expensive warm state — segment
- * circuits, detector error models, memoized Dijkstra rows and stitched
- * timelines — so a later run (or a run resumed after a crash) starts at
- * warm-cache speed instead of rebuilding everything from scratch.
+ * circuits, detector error models and stitched timelines — so a later run
+ * (or a run resumed after a crash) skips circuit and DEM builds instead of
+ * rebuilding everything from scratch.
  *
  * Restore strategy: decoders are NOT serialized. A segment record carries
- * its circuit, its DEM, a digest of the decoding graph's CSR arrays, and
- * the memoized rows; the loader rebuilds the decoders from the DEM (an
- * O(edges) construction) and then verifies that the rebuilt graph's CSR
- * digest matches the recorded one before trusting a single row. Entries
- * are pure functions of their cache keys, so a restored entry answers
- * every query bit-identically to a cold-built one — corruption can only
- * cost a rebuild, never change a result.
+ * its circuit, its DEM and a digest of the decoding graph's CSR arrays;
+ * the loader rebuilds the decoders from the DEM (an O(edges)
+ * construction) and verifies that the rebuilt graph's CSR digest matches
+ * the recorded one before caching the entry. Memoized Dijkstra rows are
+ * not stored: a restored graph starts empty and decode rebuilds rows on
+ * demand, which measured cheaper than writing, reading and validating
+ * them. Entries are pure functions of their cache keys, so a restored
+ * entry answers every query bit-identically to a cold-built one —
+ * corruption can only cost a rebuild, never change a result.
  *
  * The loader is paranoid by design: every length, enum, detector id,
  * probability and cross-field invariant is validated before anything is
@@ -43,7 +45,6 @@ struct SnapshotSaveStats
     /** Timeline entries skipped because a pinned segment's own cache
      *  entry was evicted (the timeline would dangle on restore). */
     uint64_t skippedTimelines = 0;
-    uint64_t rows = 0;     ///< memoized Dijkstra rows serialized
     uint64_t fileBytes = 0; ///< bytes written (pre-fault-injection)
 };
 
@@ -52,7 +53,9 @@ struct SnapshotRestoreStats
 {
     uint64_t segments = 0;
     uint64_t timelines = 0;
-    uint64_t rows = 0;            ///< rows rehydrated into graphs
+    /** Always 0: snapshots carry no rows since ABI v3. Kept because
+     *  callers still read it. */
+    uint64_t rows = 0;
     uint64_t rejectedRecords = 0; ///< CRC-valid but semantically bad
     bool truncated = false;       ///< a torn/corrupt record ended the file
     uint64_t fileBytes = 0;       ///< bytes read

@@ -44,8 +44,9 @@ class FaultInjector;
 /** Container format version (layout of header/records). */
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 /** Payload ABI version: bump when any serialized struct changes.
- *  v2: DegradationLedger gained the three fab* counters. */
-inline constexpr uint32_t kSnapshotAbiVersion = 2;
+ *  v2: DegradationLedger gained the three fab* counters.
+ *  v3: segment records carry no memoized rows. */
+inline constexpr uint32_t kSnapshotAbiVersion = 3;
 /** Header size: magic (8) | format u32 | abi u32 | header crc32. */
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 4;
 
@@ -95,13 +96,6 @@ class ByteWriter
     i64(int64_t v)
     {
         appendLe(&v, sizeof v);
-    }
-    void
-    f32(float v)
-    {
-        uint32_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        u32(bits);
     }
     void
     f64(double v)
@@ -181,14 +175,6 @@ class ByteReader
     {
         int64_t v = 0;
         take(&v, sizeof v);
-        return v;
-    }
-    float
-    f32()
-    {
-        const uint32_t bits = u32();
-        float v;
-        std::memcpy(&v, &bits, sizeof v);
         return v;
     }
     double

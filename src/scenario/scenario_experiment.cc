@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <optional>
 
-#include <cerrno>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "lattice/rotated.hh"
@@ -47,23 +45,15 @@ constexpr uint64_t kTimelineSeedStride = 0x51ed5eed9e3779b9ULL;
  *  the box. */
 constexpr uint64_t kDefaultStallDeadlineNs = 10'000'000;
 
-/** mkdir -p for the persist directory (single-filesystem, 0755). */
+/** mkdir -p for the persist directory. */
 Status
 ensurePersistDir(const std::string &dir)
 {
-    size_t pos = 0;
-    while (pos <= dir.size()) {
-        size_t next = dir.find('/', pos);
-        if (next == std::string::npos)
-            next = dir.size();
-        const std::string partial = dir.substr(0, next);
-        if (!partial.empty() && partial != "/" && partial != "." &&
-            ::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST)
-            return Status::invalidArgument(
-                "persist dir: cannot create '" + partial +
-                "': " + std::strerror(errno));
-        pos = next + 1;
-    }
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        return Status::invalidArgument("persist dir: cannot create '" +
+                                       dir + "': " + ec.message());
     return Status::okStatus();
 }
 
@@ -707,7 +697,6 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
                 if (restored.ok()) {
                     out.persistRestoredSegments = restored->segments;
                     out.persistRestoredTimelines = restored->timelines;
-                    out.persistRestoredRows = restored->rows;
                     out.persistRejectedRecords = restored->rejectedRecords;
                     out.persistSnapshotBytes = restored->fileBytes;
                     out.ledger.snapRestoredEntries +=

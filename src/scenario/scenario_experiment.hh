@@ -122,6 +122,8 @@ struct ScenarioConfig
      * one exists — a killed run finishes bit-identical to an
      * uninterrupted one. Corrupt or stale files always degrade to a
      * cold start (counted in the run ledger), never to a wrong result.
+     * A directory that cannot be created fails the run up front with
+     * INVALID_ARGUMENT.
      */
     std::string persistDir;
 };
@@ -181,6 +183,8 @@ struct ScenarioResult
     // Warm-start persistence accounting (all zero without persistDir).
     uint64_t persistRestoredSegments = 0;
     uint64_t persistRestoredTimelines = 0;
+    /** Always 0: snapshots carry no rows since ABI v3 (restored graphs
+     *  rebuild rows on demand). Kept because callers still read it. */
     uint64_t persistRestoredRows = 0;
     uint64_t persistRejectedRecords = 0; ///< snapshot records refused
     uint64_t persistRecoveries = 0;      ///< whole-file cold fallbacks

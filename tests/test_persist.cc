@@ -4,33 +4,30 @@
  * checksummed snapshot container, the DeformedCodeCache snapshot
  * round-trip, the paranoid loader's fuzz matrix (truncation at every
  * record boundary, single-bit flips, stale versions, semantic
- * mismatches — no crash, Status surfaced, results bit-identical), and
- * kill/resume checkpointing at several thread counts.
+ * mismatches — no crash, Status surfaced, results bit-identical),
+ * kill/resume checkpointing at several thread counts, and the
+ * persist-dir creation failure.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <stdlib.h>
 #include <unistd.h>
 
-#include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
 #include "faultinject/fault_plan.hh"
-#include "lattice/rotated.hh"
 #include "persist/cache_snapshot.hh"
 #include "persist/checkpoint.hh"
 #include "persist/snapshot.hh"
 #include "scenario/scenario_experiment.hh"
-#include "sim/dem.hh"
-#include "sim/frame.hh"
-#include "sim/syndrome_circuit.hh"
 
 namespace surf {
 namespace {
@@ -145,7 +142,6 @@ TEST(SnapshotContainer, ByteRoundTrip)
     w.u64(0x0123456789abcdefULL);
     w.i32(-42);
     w.i64(-1234567890123LL);
-    w.f32(1.5f);
     w.f64(2.25);
     w.str("hello");
     const uint8_t raw[3] = {1, 2, 3};
@@ -157,7 +153,6 @@ TEST(SnapshotContainer, ByteRoundTrip)
     EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
     EXPECT_EQ(r.i32(), -42);
     EXPECT_EQ(r.i64(), -1234567890123LL);
-    EXPECT_EQ(r.f32(), 1.5f);
     EXPECT_EQ(r.f64(), 2.25);
     EXPECT_EQ(r.str(), "hello");
     const char *got = r.bytes(sizeof raw);
@@ -289,7 +284,7 @@ TEST(CacheSnapshot, WarmRestartBitIdenticalToCold)
     ASSERT_TRUE(pass2.ok()) << pass2.status().str();
     expectSameResults(*truth, *pass2);
     EXPECT_GT(pass2->persistRestoredSegments, 0u);
-    EXPECT_GT(pass2->persistRestoredRows, 0u);
+    EXPECT_EQ(pass2->persistRestoredRows, 0u);
     EXPECT_EQ(pass2->persistRecoveries, 0u);
     EXPECT_EQ(pass2->ledger.snapRestoredEntries,
               pass2->persistRestoredSegments +
@@ -310,7 +305,6 @@ TEST(CacheSnapshot, DirectSaveLoadRoundTrip)
     StatusOr<SnapshotSaveStats> saved = saveCacheSnapshot(cache, path);
     ASSERT_TRUE(saved.ok()) << saved.status().str();
     EXPECT_GT(saved->segments, 0u);
-    EXPECT_GT(saved->rows, 0u);
     EXPECT_GT(saved->fileBytes, 0u);
 
     DeformedCodeCache fresh;
@@ -318,9 +312,13 @@ TEST(CacheSnapshot, DirectSaveLoadRoundTrip)
     ASSERT_TRUE(loaded.ok()) << loaded.status().str();
     EXPECT_EQ(loaded->segments, saved->segments);
     EXPECT_EQ(loaded->timelines, saved->timelines);
-    EXPECT_EQ(loaded->rows, saved->rows);
     EXPECT_EQ(loaded->rejectedRecords, 0u);
     EXPECT_FALSE(loaded->truncated);
+    // Snapshots carry no rows: every restored graph starts empty.
+    fresh.forEachSegment([](const std::string &, const CachedSegment &seg,
+                            double) {
+        EXPECT_EQ(seg.mwpm->graph().rowsResident(), 0u);
+    });
 
     // The warm cache reproduces the run bit-identically with zero misses
     // on the segments it restored.
@@ -643,108 +641,25 @@ TEST(Checkpoint, TornCheckpointResumesFromPrefix)
     expectSameResults(*truth, *done);
 }
 
-// ---------------------------------------------------------------------
-// Row-restore concurrency (run under TSan in CI).
-// ---------------------------------------------------------------------
-
-TEST(PersistRaces, RestoreRowRacesDecodeAndEviction)
+TEST(PersistDir, UncreatablePersistDirIsInvalidArgument)
 {
-    // Restored rows are published with the same CAS discipline row()
-    // uses, so a snapshot restore may overlap live decoding and row
-    // budget reclamation. Warm a reference graph, copy its rows, then
-    // restore them into a budgeted graph while worker threads decode on
-    // it — predictions must match the serial reference bit for bit.
-    MemorySpec spec;
-    spec.rounds = 5;
-    NoiseParams noise;
-    noise.p = 4e-3;
-    const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec,
-                                                  noise);
-    const auto dem = buildDem(built.circuit, PauliType::Z);
+    // A persist dir below a regular file cannot be created: the run
+    // fails up front with INVALID_ARGUMENT and writes nothing.
+    TempDir dir;
+    const std::string blocker = dir.file("blocker");
+    spit(blocker, "not a directory");
+    ScenarioConfig sc = sampledConfig();
+    sc.persistDir = blocker + "/persist";
+    StatusOr<ScenarioResult> run = runScenarioExperimentChecked(sc);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().str().find("persist dir"), std::string::npos)
+        << run.status().str();
 
-    MwpmDecoder reference(dem, 1, nullptr, MatchingBackend::Sparse);
-    reference.setTruncation(SIZE_MAX);
-    FrameSimulator sim(built.circuit, 256, 0xfeed);
-    const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-    std::vector<uint8_t> expected(sim.shots());
-    MwpmScratch ref_scratch;
-    for (size_t s = 0; s < sim.shots(); ++s)
-        expected[s] = reference.decode(syndromes.data(s),
-                                       syndromes.count(s), ref_scratch);
-
-    // Harvest the reference's resident rows (copies).
-    std::vector<std::pair<int, DecodingGraph::Row>> rows;
-    reference.graph().forEachResidentRow(
-        [&](int src, const DecodingGraph::Row &row) {
-            rows.emplace_back(src, row);
-        });
-    ASSERT_FALSE(rows.empty());
-
-    MwpmDecoder target(dem, 1, nullptr, MatchingBackend::Sparse);
-    target.setTruncation(SIZE_MAX);
-    target.setRowBudget(4); // budget set before workers start
-
-    std::atomic<size_t> mismatches{0};
-    std::vector<std::thread> workers;
-    for (size_t t = 0; t < 3; ++t) {
-        workers.emplace_back([&] {
-            MwpmScratch scratch;
-            size_t bad = 0;
-            for (size_t s = 0; s < sim.shots(); ++s)
-                bad += target.decode(syndromes.data(s),
-                                     syndromes.count(s),
-                                     scratch) != (expected[s] != 0);
-            mismatches.fetch_add(bad, std::memory_order_relaxed);
-        });
-    }
-    // Restorer thread: replays every harvested row into the live graph
-    // (occupied slots and budget evictions make many of these no-ops —
-    // exactly the races the loader meets).
-    workers.emplace_back([&] {
-        for (int pass = 0; pass < 8; ++pass)
-            for (const auto &[src, row] : rows) {
-                DecodingGraph::Row copy = row;
-                (void)target.graph().restoreRow(src, std::move(copy));
-            }
-    });
-    for (auto &w : workers)
-        w.join();
-    EXPECT_EQ(mismatches.load(), 0u)
-        << "row restore under contention changed a prediction";
-    EXPECT_LE(target.graph().rowsResident(), 4u);
-}
-
-TEST(PersistRaces, RestoreRowRejectsMalformedRows)
-{
-    MemorySpec spec;
-    spec.rounds = 3;
-    NoiseParams noise;
-    noise.p = 2e-3;
-    const BuiltCircuit built = buildMemoryCircuit(squarePatch(3), spec,
-                                                  noise);
-    const auto dem = buildDem(built.circuit, PauliType::Z);
-    MwpmDecoder dec(dem, 1, nullptr, MatchingBackend::Sparse);
-    const DecodingGraph &g = dec.graph();
-    const size_t n = g.numNodes() + 1;
-
-    DecodingGraph::Row short_row;
-    short_row.radius = 1.0;
-    short_row.dist.resize(n - 1);
-    short_row.par.resize(n - 1);
-    EXPECT_FALSE(g.restoreRow(0, std::move(short_row)));
-
-    DecodingGraph::Row nan_row;
-    nan_row.radius = std::numeric_limits<double>::quiet_NaN();
-    nan_row.dist.resize(n);
-    nan_row.par.resize(n);
-    EXPECT_FALSE(g.restoreRow(0, std::move(nan_row)));
-
-    DecodingGraph::Row oob;
-    oob.radius = 1.0;
-    oob.dist.resize(n);
-    oob.par.resize(n);
-    EXPECT_FALSE(g.restoreRow(-1, DecodingGraph::Row(oob)));
-    EXPECT_FALSE(g.restoreRow(static_cast<int>(n), std::move(oob)));
+    EXPECT_EQ(slurp(blocker), "not a directory");
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path),
+                            std::filesystem::directory_iterator()),
+              1);
 }
 
 } // namespace
