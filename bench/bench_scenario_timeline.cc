@@ -333,8 +333,9 @@ main(int argc, char **argv)
     std::printf("corrupt-recovery: %lu records rejected, %lu cold "
                 "recoveries; results identical: %s\n",
                 static_cast<unsigned long>(
-                    recovery.result.persistRejectedRecords),
-                static_cast<unsigned long>(recovery.result.persistRecoveries),
+                    recovery.result.ledger.snapRejectedRecords),
+                static_cast<unsigned long>(
+                    recovery.result.ledger.snapRecoveries),
                 recovery.result.failures == uncached.result.failures
                     ? "yes"
                     : "NO (BUG)");
@@ -364,12 +365,12 @@ main(int argc, char **argv)
     persist.metric("restored_timelines",
                    static_cast<double>(wr.persistRestoredTimelines));
     persist.metric("rejected_records_clean",
-                   static_cast<double>(wr.persistRejectedRecords));
+                   static_cast<double>(wr.ledger.snapRejectedRecords));
     persist.metric("corrupt_rejected_records",
                    static_cast<double>(
-                       recovery.result.persistRejectedRecords));
+                       recovery.result.ledger.snapRejectedRecords));
     persist.metric("corrupt_recoveries",
-                   static_cast<double>(recovery.result.persistRecoveries));
+                   static_cast<double>(recovery.result.ledger.snapRecoveries));
     persist.metric("results_identical", warm_identical ? 1.0 : 0.0);
     persist.metric("warm_restored_nonzero", warm_restored ? 1.0 : 0.0);
     (void)corrupt_write;

@@ -13,7 +13,7 @@
  *  - decoder stalls (stall.*): virtual time charged to a ladder stage at
  *    stage entry, forcing the deadline's staged fallback deterministically
  *    (util/deadline.hh, virtual clock mode);
- *  - cache-eviction storms (storm.*): DeformedCodeCache::clear() fired
+ *  - cache-eviction storms (storm.*): DeformedCodeCache::evictAll() fired
  *    mid-timeline between epoch builds and between shot batches, while
  *    live decodes still hold shared_ptr handles into evicted entries;
  *  - defect-stream truncation/corruption (truncate.frac / corrupt.p):
@@ -69,8 +69,8 @@ struct FaultPlan
         (1u << kStageBlossom) | (1u << kStageRows); ///< stage bitmask
 
     // --- cache-eviction storms ------------------------------------------
-    uint32_t stormEveryEpochs = 0;  ///< clear() before every Nth epoch build
-    uint32_t stormEveryBatches = 0; ///< clear() before every Nth shot batch
+    uint32_t stormEveryEpochs = 0;  ///< evictAll() before every Nth epoch build
+    uint32_t stormEveryBatches = 0; ///< evictAll() before every Nth shot batch
 
     // --- defect-stream faults -------------------------------------------
     double truncateFrac = -1.0; ///< keep this fraction of events (<0 = off)

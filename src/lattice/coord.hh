@@ -35,7 +35,9 @@ struct Coord
     std::string
     str() const
     {
-        return "(" + std::to_string(x) + "," + std::to_string(y) + ")";
+        std::string s = "(";
+        s.append(std::to_string(x)).append(",").append(std::to_string(y));
+        return s.append(")");
     }
 };
 

@@ -49,7 +49,8 @@ SubsystemCode::validate() const
     struct Gen { const PauliString *p; std::string name; };
     std::vector<Gen> gens;
     for (size_t i = 0; i < stabilizers_.size(); ++i)
-        gens.push_back({&stabilizers_[i], "s" + std::to_string(i)});
+        gens.push_back(
+            {&stabilizers_[i], std::string("s").append(std::to_string(i))});
     for (size_t i = 0; i < logicalX_.size(); ++i) {
         gens.push_back({&logicalX_[i], "LX" + std::to_string(i)});
         gens.push_back({&logicalZ_[i], "LZ" + std::to_string(i)});

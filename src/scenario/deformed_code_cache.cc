@@ -282,14 +282,4 @@ DeformedCodeCache::restoreTimeline(const std::string &key, CachedTimeline tl,
     return true;
 }
 
-void
-DeformedCodeCache::clear()
-{
-    entries_.clear();
-    bytes_used_ = 0;
-    clock_ = 0.0;
-    build_seconds_ = 0.0;
-    hits_ = misses_ = evictions_ = 0;
-}
-
 } // namespace surf

@@ -124,7 +124,6 @@ class DeformedCodeCache
      * immediately and to every subsequent insertion.
      */
     void setBudget(size_t max_bytes, size_t max_entries);
-    size_t budgetBytes() const { return max_bytes_; }
     size_t budgetEntries() const { return max_entries_; }
 
     uint64_t hits() const { return hits_; }
@@ -133,12 +132,6 @@ class DeformedCodeCache
     /** Timeline-level lookups (a subset of hits()/misses()). */
     uint64_t timelineHits() const { return timeline_hits_; }
     uint64_t timelineMisses() const { return timeline_misses_; }
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits_ + misses_;
-        return total ? static_cast<double>(hits_) / total : 0.0;
-    }
     size_t size() const { return entries_.size(); }
     /** Approximate bytes held by resident entries. Entry sizes are
      *  re-measured on every hit — the sparse decoder graphs grow as
@@ -147,14 +140,6 @@ class DeformedCodeCache
     size_t bytesUsed() const { return bytes_used_; }
     /** Total seconds spent building entries (misses). */
     double buildSeconds() const { return build_seconds_; }
-
-    void
-    resetStats()
-    {
-        hits_ = misses_ = evictions_ = 0;
-        timeline_hits_ = timeline_misses_ = 0;
-    }
-    void clear();
 
     /**
      * Evict every resident entry (counted in evictions()) while keeping

@@ -1,11 +1,13 @@
 #include "scenario/scenario_experiment.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -44,18 +46,6 @@ constexpr uint64_t kTimelineSeedStride = 0x51ed5eed9e3779b9ULL;
  *  default 50 ms injected stall, so stall plans force the ladder out of
  *  the box. */
 constexpr uint64_t kDefaultStallDeadlineNs = 10'000'000;
-
-/** mkdir -p for the persist directory. */
-Status
-ensurePersistDir(const std::string &dir)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return Status::invalidArgument("persist dir: cannot create '" +
-                                       dir + "': " + ec.message());
-    return Status::okStatus();
-}
 
 /** Fault-salt tags keep the cache snapshot's and the checkpoint's
  *  snap.* corruption streams decorrelated. */
@@ -140,7 +130,7 @@ timelineCacheKey(const ScenarioPlan &plan, const ScenarioConfig &cfg)
     return key;
 }
 
-/** Deterministic all-loss timeline (dead patch or broken continuity). */
+/** Deterministic all-loss timeline (dead chip, plan or seam). */
 TimelineStats
 deadTimeline(const ScenarioConfig &cfg, size_t events)
 {
@@ -152,25 +142,248 @@ deadTimeline(const ScenarioConfig &cfg, size_t events)
     return tl;
 }
 
-} // namespace
+/** One decode worker's scratch and per-timeline tallies. */
+struct Worker
+{
+    MwpmScratch mwpm;
+    UfScratch uf;
+    std::vector<uint32_t> ids; ///< one epoch's fired detectors
+    DecodeDeadline deadline;
+    DegradationLedger ledger;
+    uint64_t failures = 0;
+    std::vector<uint64_t> mism; ///< per epoch
+};
+
+/** What the stages of one run share. runPlannedTimeline uses the decode
+ *  half (config through workers); the scenario driver fills the rest. */
+struct RunContext
+{
+    RunContext(const ScenarioConfig &c, DeformedCodeCache *external)
+        : cfg(c), cache(external ? *external : localCache),
+          inject(c.faults), snapInject(inject.enabled() ? &inject : nullptr),
+          pool(c.threads), workers(pool.size())
+    {
+        // Stall plans arm a default budget on the virtual clock, so
+        // every ladder choice (and recorded latency) is deterministic.
+        const uint64_t deadline_ns =
+            cfg.decodeDeadlineNs ? cfg.decodeDeadlineNs
+            : cfg.faults.hasDecoderStalls() ? kDefaultStallDeadlineNs
+                                            : 0;
+        ladderOn = deadline_ns != 0 && cfg.decoder != DecoderKind::UnionFind;
+        if (ladderOn)
+            for (Worker &w : workers)
+                w.deadline.configure(deadline_ns,
+                                     inject.virtualClockNeeded());
+    }
+
+    const ScenarioConfig cfg; ///< environment-merged
+    DeformedCodeCache localCache;
+    DeformedCodeCache &cache; ///< the caller's cache, else localCache
+    /** Decisions are pure hashes of (plan seed, site, salt, indices);
+     *  the salt is the timeline's batch-seed base, so they differ per
+     *  timeline yet match at any thread count. */
+    const FaultInjector inject;
+    const FaultInjector *snapInject; ///< snap.* corruption; null: no plan
+    bool ladderOn = false;
+    ThreadPool pool;
+    std::vector<Worker> workers; ///< one per pool worker
+
+    ScenarioResult out;
+    std::string ckptPath; ///< set when persistence is on
+    uint64_t configSig = 0;
+    CodePatch base;
+    StrategyMemo memo;
+    FabDefectSample chip;                   ///< the run's base chip
+    std::optional<FabAdaptation> chipAdapt; ///< set when chip non-empty
+};
+
+/** One resolution path for segment and timeline entries: the cache when
+ *  it is on, a fresh build otherwise (the same bits either way). */
+template <typename Entry>
+std::shared_ptr<const Entry>
+resolve(RunContext &ctx,
+        std::shared_ptr<const Entry> (DeformedCodeCache::*get)(
+            const std::string &, const std::function<Entry()> &),
+        const std::string &key,
+        const std::type_identity_t<std::function<Entry()>> &build)
+{
+    if (ctx.cfg.useCache)
+        return (ctx.cache.*get)(key, build);
+    return std::make_shared<const Entry>(build());
+}
+
+/** Stage validate: the environment fills an empty fault plan
+ *  (SURF_FAULT_PLAN) and persist dir (SURF_PERSIST_DIR), so any entry
+ *  point can be fault tested or persisted unchanged; then the merged
+ *  config is checked. */
+StatusOr<ScenarioConfig>
+validate(const ScenarioConfig &userCfg)
+{
+    ScenarioConfig cfg = userCfg;
+    if (!cfg.faults.enabled()) {
+        StatusOr<FaultPlan> env = faultPlanFromEnv();
+        if (!env.ok())
+            return env.status();
+        cfg.faults = *env;
+    }
+    const char *dir = std::getenv("SURF_PERSIST_DIR");
+    if (cfg.persistDir.empty() && dir)
+        cfg.persistDir = dir;
+    if (Status s = validateScenarioConfig(cfg); !s.ok())
+        return s;
+    return cfg;
+}
+
+/** Stage account: the one result tally, for resumed and fresh timelines.
+ *  `adapt` adds a fresh timeline's yield counters (resumed ones carry
+ *  theirs in their ledger). */
+void
+account(RunContext &ctx, TimelineStats tl, const FabAdaptation *adapt)
+{
+    if (adapt && adapt->outcome.alive) {
+        tl.ledger.fabAdaptedPatches += 1;
+        tl.ledger.fabDistanceLoss += adapt->distanceLoss;
+    } else if (adapt) {
+        tl.ledger.fabDeadPatches += 1;
+    }
+    ScenarioResult &out = ctx.out;
+    out.shots += tl.shots;
+    out.failures += tl.failures;
+    out.totalEpochs += tl.epochs.size();
+    out.deadTimelines += tl.dead ? 1 : 0;
+    out.ledger.merge(tl.ledger);
+    out.timelines.push_back(std::move(tl));
+}
 
 /**
- * Stitch one plan's concatenated sampling circuit and resolve its
- * decode-ready segments (through the segment cache when enabled). Pure
- * function of (plan, decode-relevant config): the timeline cache hands
- * out memoized results keyed on exactly those.
- *
- * `inject`/`ledger` (both optional) wire in the fault harness: an
- * epoch-build eviction storm empties the cache right before the chosen
- * epochs' segments resolve, while the build is mid-flight — entries the
- * earlier epochs pinned stay usable through their shared_ptrs, the
- * stormed segments rebuild, and the result is bit-identical either way.
+ * Stage restore: load the cache snapshot, then replay a checkpoint of
+ * this config through account(). Every failure shape (missing file, torn
+ * tail, flipped bit, version skew, semantic mismatch) degrades to a cold
+ * start with a ledger count; restored state never changes results.
+ */
+void
+restore(RunContext &ctx)
+{
+    const ScenarioConfig &cfg = ctx.cfg;
+    ScenarioResult &out = ctx.out;
+    if (cfg.persistDir.empty())
+        return;
+    std::error_code ec;
+    std::filesystem::create_directories(cfg.persistDir, ec);
+    if (ec)
+        throw StatusError(Status::invalidArgument(
+            "persist dir: cannot create '" + cfg.persistDir +
+            "': " + ec.message()));
+    ctx.configSig = scenarioConfigSignature(cfg);
+    char sig_hex[24];
+    std::snprintf(sig_hex, sizeof sig_hex, "%016llx",
+                  static_cast<unsigned long long>(ctx.configSig));
+    ctx.ckptPath = cfg.persistDir + "/run-" + sig_hex + ".ckpt";
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string snap_path = cfg.persistDir + "/cache.snap";
+    if (cfg.useCache && snapshotFileExists(snap_path)) {
+        StatusOr<SnapshotRestoreStats> restored =
+            loadCacheSnapshot(ctx.cache, snap_path);
+        if (restored.ok()) {
+            out.persistRestoredSegments = restored->segments;
+            out.persistRestoredTimelines = restored->timelines;
+            out.persistSnapshotBytes = restored->fileBytes;
+            out.ledger.snapRestoredEntries +=
+                restored->segments + restored->timelines;
+            // A torn tail also drops its torn record.
+            out.ledger.snapRejectedRecords +=
+                restored->rejectedRecords + (restored->truncated ? 1 : 0);
+        } else {
+            ++out.ledger.snapRecoveries;
+        }
+    }
+    if (snapshotFileExists(ctx.ckptPath)) {
+        // A valid checkpoint of another config is stale, not a recovery.
+        StatusOr<RunCheckpoint> ckpt = loadRunCheckpoint(ctx.ckptPath);
+        if (!ckpt.ok()) {
+            ++out.ledger.snapRecoveries;
+        } else if (ckpt->configSignature == ctx.configSig) {
+            for (TimelineStats &tl : ckpt->completed)
+                account(ctx, std::move(tl), nullptr);
+            out.resumedTimelines = out.timelines.size();
+        }
+    }
+    out.persistRestoreSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+}
+
+/** The strategy's adaptation of a chip sample (none for a pristine one). */
+std::optional<FabAdaptation>
+adaptChip(const ScenarioConfig &cfg, const FabDefectSample &sample)
+{
+    if (sample.empty())
+        return std::nullopt;
+    return std::move(adaptFabDefectsChecked(cfg.timeline.strategy,
+                                            cfg.timeline.d,
+                                            cfg.timeline.deltaD, sample)
+                         .value());
+}
+
+/** Stage chip(t): the base chip plus the fault plan's fab defects for
+ *  this timeline, adapted into `own`. Without fab injection every
+ *  timeline shares the base chip's adaptation. Null on a pristine chip. */
+const FabAdaptation *
+chip(RunContext &ctx, uint64_t salt, std::optional<FabAdaptation> &own)
+{
+    if (ctx.cfg.faults.fabQubitProb > 0.0 ||
+        ctx.cfg.faults.fabCouplerProb > 0.0) {
+        FabDefectSample sample = ctx.chip;
+        ctx.inject.injectFabDefects(salt, ctx.base, sample);
+        own = adaptChip(ctx.cfg, sample);
+        return own ? &*own : nullptr;
+    }
+    return ctx.chipAdapt ? &*ctx.chipAdapt : nullptr;
+}
+
+/** Stage plan(t): sample timeline t's defect stream, apply the fault
+ *  plan's stream faults, validate it and plan epochs around the chip's
+ *  disabled sites. A dead chip's plan is not alive. */
+ScenarioPlan
+plan(RunContext &ctx, int t, uint64_t salt, const FabAdaptation *adapt)
+{
+    const ScenarioConfig &cfg = ctx.cfg;
+    std::vector<DefectEvent> events;
+    if (cfg.eventRateScale > 0.0) {
+        DefectModelParams model = cfg.defectModel;
+        model.eventRatePerQubitSec *= cfg.eventRateScale;
+        DefectSampler sampler(model, mixSeed(cfg.seed, 0xdefec7 + t));
+        events = sampler.sampleEvents(ctx.base, cfg.timeline.horizonRounds);
+    }
+    if (ctx.inject.enabled())
+        ctx.inject.mutateStream(salt, events);
+    // The sampler's own streams always pass; mutated ones may not.
+    if (Status s = validateDefectStream(events, cfg); !s.ok())
+        throw StatusError(s);
+    if (adapt && !adapt->outcome.alive) {
+        ScenarioPlan dead;
+        dead.alive = false;
+        dead.numEvents = events.size();
+        return dead;
+    }
+    EpochPlannerConfig tcfg = cfg.timeline;
+    if (adapt)
+        tcfg.permanentSites.insert(adapt->disabledSites.begin(),
+                                   adapt->disabledSites.end());
+    return planEpochs(tcfg, events, &ctx.memo);
+}
+
+/**
+ * Stitch a plan's sampling circuit and resolve its decode segments: a
+ * pure function of (plan, decode-relevant config), the timeline key. An
+ * epoch-build storm empties the cache mid-build; earlier epochs keep
+ * their pinned segments, the rest rebuild, and the bits stay the same.
  */
 CachedTimeline
-buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
-                      DeformedCodeCache &cache, const FaultInjector *inject,
-                      DegradationLedger *ledger)
+stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
 {
+    const ScenarioConfig &cfg = ctx.cfg;
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
     const uint8_t tag = (cfg.basis == PauliType::Z) ? 1 : 0;
@@ -182,10 +395,9 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     out.epochs.reserve(n_epochs);
 
     for (size_t e = 0; e < n_epochs; ++e) {
-        if (inject && inject->stormAtEpochBuild(0, e)) {
-            cache.evictAll();
-            if (ledger)
-                ++ledger->cacheStorms;
+        if (ctx.inject.enabled() && ctx.inject.stormAtEpochBuild(0, e)) {
+            ctx.cache.evictAll();
+            ++ledger.cacheStorms;
         }
         const Epoch &ep = plan.epochs[e];
         const CodePatch &patch = ep.deformed.patch;
@@ -204,10 +416,9 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         if (!seam.obsCarryValid) {
             // No continuation of the tracked logical exists in the new
             // code: the burst effectively destroyed the stored qubit.
-            out.alive = false;
-            out.circuit = Circuit{};
-            out.epochs.clear();
-            return out;
+            CachedTimeline dead;
+            dead.alive = false;
+            return dead;
         }
         tracked = seam.trackedLogical;
 
@@ -232,7 +443,12 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         dec_noise.defectiveSites = cfg.decoderKnowsDefects
                                        ? ep.residualDefects
                                        : std::set<Coord>{};
-        auto build = [&] {
+        CachedTimelineEpoch ce;
+        ce.segKey = segmentCacheKey(prev_sig ? *prev_sig : std::string("-"),
+                                    ep.structSig, removed_untrusted,
+                                    prev_tracked, seam.trackedLogical, spec,
+                                    dec_noise, cfg);
+        ce.seg = resolve(ctx, &DeformedCodeCache::get, ce.segKey, [&] {
             SegmentSpec standalone_spec = spec;
             standalone_spec.epochProbes = false;
             CachedSegment cs;
@@ -245,17 +461,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                 cs.mwpm->setRowBudget(cfg.mwpmRowBudget);
             cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
             return cs;
-        };
-        CachedTimelineEpoch ce;
-        if (cfg.useCache) {
-            ce.segKey = segmentCacheKey(
-                prev_sig ? *prev_sig : std::string("-"), ep.structSig,
-                removed_untrusted, prev_tracked, seam.trackedLogical, spec,
-                dec_noise, cfg);
-            ce.seg = cache.get(ce.segKey, build);
-        } else {
-            ce.seg = std::make_shared<const CachedSegment>(build());
-        }
+        });
         if (ce.seg->dem.numDetectors != res.detEnd - res.detBegin)
             // A structurally inconsistent epoch plan (or a malformed
             // cached DEM) surfaces as a value at the checked boundary
@@ -281,95 +487,85 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     return out;
 }
 
-TimelineStats
-runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
-                   DeformedCodeCache &cache, uint64_t batchSeedBase,
-                   uint64_t failuresSoFar)
+/** Stage build: resolve the stitched timeline. One lookup covers seam
+ *  classification, stitching and every epoch's decode segment, so warm
+ *  sweeps and quiet timelines go straight to sampling. */
+std::shared_ptr<const CachedTimeline>
+build(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
 {
-    // A deformation window that destroyed the logical qubit makes every
-    // shot of the timeline a logical loss (deterministic, so the result
-    // stays invariant under threading and caching).
-    if (!plan.alive)
-        return deadTimeline(cfg, plan.numEvents);
-    TimelineStats tl;
-    tl.events = plan.numEvents;
     SURF_ASSERT(!plan.epochs.empty(), "planned timeline has no epochs");
-    ThreadPool pool(cfg.threads);
+    return resolve(ctx, &DeformedCodeCache::getTimeline,
+                   timelineCacheKey(plan, ctx.cfg),
+                   [&] { return stitch(ctx, plan, ledger); });
+}
 
-    // --- Fault harness + deadline (both default-off) ---------------------
-    // Injection decisions are pure hashes of (plan seed, site, salt,
-    // indices); the salt is this timeline's batch-seed base, so decisions
-    // are unique per timeline yet identical at any thread count. Stall
-    // plans switch the deadline to its virtual clock, making every stage
-    // choice (and recorded latency) deterministic too.
-    const FaultInjector inject(cfg.faults);
-    const uint64_t salt = batchSeedBase;
-    const uint64_t deadline_ns =
-        cfg.decodeDeadlineNs
-            ? cfg.decodeDeadlineNs
-            : (cfg.faults.hasDecoderStalls() ? kDefaultStallDeadlineNs : 0);
-    const bool ladder_on =
-        deadline_ns != 0 && cfg.decoder != DecoderKind::UnionFind;
-
-    // --- Resolve the stitched timeline: one lookup covers the seam
-    // classification, circuit stitching and every per-epoch decode
-    // segment. Warm sweeps and quiet (event-free) timelines skip
-    // straight to sampling. ----------------------------------------------
-    const FaultInjector *bi = inject.enabled() ? &inject : nullptr;
-    std::shared_ptr<const CachedTimeline> tlc;
-    if (cfg.useCache) {
-        tlc = cache.getTimeline(timelineCacheKey(plan, cfg), [&] {
-            return buildStitchedTimeline(plan, cfg, cache, bi, &tl.ledger);
-        });
-    } else {
-        tlc = std::make_shared<const CachedTimeline>(
-            buildStitchedTimeline(plan, cfg, cache, bi, &tl.ledger));
+/**
+ * Stage sample/decode: runMemoryExperiment's pipeline discipline.
+ * Sampling is serial per batch, shots decode independently per epoch,
+ * and worker tallies merge in a fixed order, so the result is
+ * bit-identical for any thread count.
+ */
+void
+sampleDecode(RunContext &ctx, const CachedTimeline &tlc, uint64_t salt,
+             uint64_t failuresSoFar, TimelineStats &tl)
+{
+    const ScenarioConfig &cfg = ctx.cfg;
+    const FaultInjector &inject = ctx.inject;
+    const size_t n_epochs = tlc.epochs.size();
+    for (const CachedTimelineEpoch &ce : tlc.epochs)
+        tl.epochs.push_back({ce.startRound, ce.rounds, ce.distX, ce.distZ,
+                             ce.activeDefects, ce.detEnd - ce.detBegin,
+                             ce.seg->dem.decomposedComponents,
+                             ce.seg->dem.undetectableObsProb});
+    for (Worker &w : ctx.workers) {
+        w.ledger = DegradationLedger{};
+        w.failures = 0;
+        w.mism.assign(n_epochs, 0);
     }
-    if (!tlc->alive)
-        return deadTimeline(cfg, plan.numEvents);
-    const Circuit &ckt = tlc->circuit;
-    const size_t n_epochs = tlc->epochs.size();
-    tl.epochs.resize(n_epochs);
-    for (size_t e = 0; e < n_epochs; ++e) {
-        const CachedTimelineEpoch &ce = tlc->epochs[e];
-        EpochStats &st = tl.epochs[e];
-        st.startRound = ce.startRound;
-        st.rounds = ce.rounds;
-        st.distX = ce.distX;
-        st.distZ = ce.distZ;
-        st.activeDefects = ce.activeDefects;
-        st.numDetectors = ce.detEnd - ce.detBegin;
-        st.decomposedHyperedges = ce.seg->dem.decomposedComponents;
-        st.undetectableObsProb = ce.seg->dem.undetectableObsProb;
-    }
+    // MWPM decode under the fallback ladder when a deadline is armed:
+    // blossom → rows inside the decoder, then the union-find floor here
+    // when both overran. Every trip lands in the worker's ledger.
+    const auto mwpmDecode = [&](const CachedTimelineEpoch &ce, Worker &w,
+                                uint64_t shot, size_t e) -> bool {
+        MwpmScratch &msc = w.mwpm;
+        if (!ctx.ladderOn)
+            return ce.seg->mwpm->decode(w.ids.data(), w.ids.size(), msc);
+        DecodeDeadline &dl = w.deadline;
+        msc.deadline = &dl;
+        msc.stallNs = {};
+        if (inject.enabled()) {
+            msc.stallNs[kStageBlossom] =
+                inject.stallNs(salt, shot, e, kStageBlossom);
+            msc.stallNs[kStageRows] = inject.stallNs(salt, shot, e, kStageRows);
+        }
+        bool predicted = ce.seg->mwpm->decode(w.ids.data(), w.ids.size(), msc);
+        msc.deadline = nullptr;
+        for (uint8_t st = 0; st < kNumDecodeStages; ++st)
+            if ((msc.ladder.attempted >> st) & 1 && msc.stallNs[st])
+                ++w.ledger.injectedStalls;
+        if (msc.timedOut) {
+            // The union-find floor always completes: the shot degrades
+            // but never blocks.
+            dl.beginStage(0);
+            predicted = ce.seg->uf->decode(w.ids.data(), w.ids.size(), w.uf);
+            msc.ladder.note(kStageUnionFind, dl.stageElapsedNs(), false);
+            msc.ladder.answer = kStageUnionFind;
+        }
+        if (msc.ladder.attempted)
+            w.ledger.record(msc.ladder);
+        return predicted;
+    };
 
-    // --- Batched sampling + sharded per-epoch decode ---------------------
-    // Same pipeline discipline as runMemoryExperiment: sampling is serial
-    // per batch, shots decode independently, per-worker tallies merge in a
-    // fixed order — the result is bit-identical for any thread count.
-    std::vector<MwpmScratch> mwpm_scratch(pool.size());
-    std::vector<UfScratch> uf_scratch(pool.size());
-    std::vector<uint64_t> worker_failures(pool.size());
-    std::vector<std::vector<uint32_t>> local_ids(pool.size());
-    std::vector<std::vector<uint64_t>> worker_mism(
-        pool.size(), std::vector<uint64_t>(n_epochs));
-    std::vector<DecodeDeadline> worker_deadline(pool.size());
-    std::vector<DegradationLedger> worker_ledger(pool.size());
-    if (ladder_on)
-        for (auto &dl : worker_deadline)
-            dl.configure(deadline_ns, inject.virtualClockNeeded());
     SparseSyndromes syndromes;
     std::unique_ptr<FrameSimulator> sim;
-
-    uint64_t batch_seed = batchSeedBase;
+    uint64_t batch_seed = salt;
     uint64_t batch_index = 0;
     while (tl.shots < cfg.maxShotsPerTimeline &&
            failuresSoFar + tl.failures < cfg.targetFailures) {
         if (inject.enabled() && inject.stormAtBatch(salt, batch_index)) {
-            // Mid-timeline eviction storm: this timeline keeps decoding
-            // through its pinned shared_ptr segments; later lookups
-            // rebuild. Results cannot change, only cost.
-            cache.evictAll();
+            // Decoding goes on through the pinned segments; later
+            // lookups rebuild. Only cost can change.
+            ctx.cache.evictAll();
             ++tl.ledger.cacheStorms;
         }
         ++batch_index;
@@ -377,142 +573,141 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         const size_t batch = static_cast<size_t>(std::min<uint64_t>(
             cfg.batchShots, cfg.maxShotsPerTimeline - tl.shots));
         if (!sim || sim->shots() != batch) {
-            sim = std::make_unique<FrameSimulator>(ckt, batch, batch_seed++);
+            sim = std::make_unique<FrameSimulator>(tlc.circuit, batch,
+                                                   batch_seed++);
         } else {
             sim->reset(batch_seed++);
             sim->run();
         }
         sim->sparseFiredDetectors(syndromes);
         const BitVec &obs_bits = sim->observableBits(0);
-
-        std::fill(worker_failures.begin(), worker_failures.end(), 0);
-        for (auto &m : worker_mism)
-            std::fill(m.begin(), m.end(), 0);
-        // MWPM decode of one epoch's fired list, under the fallback
-        // ladder when a deadline is armed: blossom → rows inside the
-        // decoder, union-find floor here when both stages overran. Every
-        // ladder trip lands in the worker's ledger (merged in fixed
-        // worker order after the sweep).
-        const auto mwpmDecode = [&](const CachedTimelineEpoch &ce,
-                                    std::vector<uint32_t> &ids,
-                                    uint64_t shot, size_t e,
-                                    size_t worker) -> bool {
-            MwpmScratch &msc = mwpm_scratch[worker];
-            if (!ladder_on)
-                return ce.seg->mwpm->decode(ids.data(), ids.size(), msc);
-            DecodeDeadline &dl = worker_deadline[worker];
-            DegradationLedger &led = worker_ledger[worker];
-            msc.deadline = &dl;
-            msc.stallNs = {};
-            if (inject.enabled()) {
-                msc.stallNs[kStageBlossom] =
-                    inject.stallNs(salt, shot, e, kStageBlossom);
-                msc.stallNs[kStageRows] =
-                    inject.stallNs(salt, shot, e, kStageRows);
-            }
-            bool predicted =
-                ce.seg->mwpm->decode(ids.data(), ids.size(), msc);
-            msc.deadline = nullptr;
-            for (uint8_t st = 0; st < kNumDecodeStages; ++st)
-                if ((msc.ladder.attempted >> st) & 1 && msc.stallNs[st])
-                    ++led.injectedStalls;
-            if (msc.timedOut) {
-                // Both MWPM stages overran: the union-find floor always
-                // completes, so the shot degrades but never blocks.
-                dl.beginStage(0);
-                predicted = ce.seg->uf->decode(ids.data(), ids.size(),
-                                               uf_scratch[worker]);
-                msc.ladder.note(kStageUnionFind, dl.stageElapsedNs(),
-                                false);
-                msc.ladder.answer = kStageUnionFind;
-            }
-            if (msc.ladder.attempted)
-                led.record(msc.ladder);
-            return predicted;
-        };
-        const size_t n_shards = std::min(batch, pool.size() * 4);
-        pool.parallelFor(n_shards, [&](size_t shard, size_t worker) {
-            const size_t begin = batch * shard / n_shards;
+        const size_t n_shards = std::min(batch, ctx.pool.size() * 4);
+        ctx.pool.parallelFor(n_shards, [&](size_t shard, size_t worker) {
+            Worker &w = ctx.workers[worker];
             const size_t end = batch * (shard + 1) / n_shards;
-            uint64_t failures = 0;
-            for (size_t s = begin; s < end; ++s) {
+            for (size_t s = batch * shard / n_shards; s < end; ++s) {
                 const uint32_t *fired = syndromes.data(s);
                 const size_t n_fired = syndromes.count(s);
                 const uint64_t shot = shots_before + s;
                 size_t idx = 0;
                 bool total = false;
                 for (size_t e = 0; e < n_epochs; ++e) {
-                    const CachedTimelineEpoch &ce = tlc->epochs[e];
+                    const CachedTimelineEpoch &ce = tlc.epochs[e];
                     // Detector ranges are contiguous and ascending, so one
                     // sweep slices the sorted fired list per epoch.
-                    auto &ids = local_ids[worker];
-                    ids.clear();
-                    while (idx < n_fired && fired[idx] < ce.detEnd) {
-                        ids.push_back(static_cast<uint32_t>(fired[idx] -
-                                                            ce.detBegin));
-                        ++idx;
-                    }
+                    w.ids.clear();
+                    for (; idx < n_fired && fired[idx] < ce.detEnd; ++idx)
+                        w.ids.push_back(
+                            static_cast<uint32_t>(fired[idx] - ce.detBegin));
                     if (inject.enabled()) {
                         const size_t added = inject.injectBurst(
-                            salt, shot, e, ce.detEnd - ce.detBegin, ids);
-                        if (added) {
-                            ++worker_ledger[worker].injectedBursts;
-                            worker_ledger[worker].injectedBurstDetectors +=
-                                added;
-                        }
+                            salt, shot, e, ce.detEnd - ce.detBegin, w.ids);
+                        w.ledger.injectedBursts += added ? 1 : 0;
+                        w.ledger.injectedBurstDetectors += added;
                     }
-                    bool predicted;
-                    switch (cfg.decoder) {
-                      case DecoderKind::Mwpm:
-                        predicted = mwpmDecode(ce, ids, shot, e, worker);
-                        break;
-                      case DecoderKind::UnionFind:
-                        predicted = ce.seg->uf->decode(
-                            ids.data(), ids.size(), uf_scratch[worker]);
-                        break;
-                      case DecoderKind::Auto:
-                      default:
-                        predicted =
-                            (ids.size() <= cfg.mwpmDefectCap)
-                                ? mwpmDecode(ce, ids, shot, e, worker)
-                                : ce.seg->uf->decode(ids.data(), ids.size(),
-                                                     uf_scratch[worker]);
-                        break;
-                    }
-                    // Oracle truth of this epoch: frame accumulated on its
-                    // own tracked representative between the opening probe
-                    // (index 2e-1; zero for the first epoch) and the
-                    // closing probe (index 2e) — the same accounting its
-                    // decoder uses. Seam frame updates and readout noise
-                    // live in the observable, not the probes, so per-epoch
-                    // truths are diagnostics; the failure check below
-                    // always uses the true observable.
+                    // Auto: MWPM up to the per-epoch defect cap.
+                    const bool mwpm =
+                        cfg.decoder == DecoderKind::Mwpm ||
+                        (cfg.decoder != DecoderKind::UnionFind &&
+                         w.ids.size() <= cfg.mwpmDefectCap);
+                    const bool predicted =
+                        mwpm ? mwpmDecode(ce, w, shot, e)
+                             : ce.seg->uf->decode(w.ids.data(), w.ids.size(),
+                                                  w.uf);
+                    // Oracle truth of this epoch: the frame its tracked
+                    // representative accrued between the opening probe
+                    // (2e-1; none for epoch 0) and the closing probe (2e).
+                    // Seam updates and readout noise live only in the
+                    // observable, so per-epoch truths are diagnostics and
+                    // the failure check uses the observable.
                     const bool open_frame =
                         e ? sim->probeBits(2 * e - 1).get(s) : false;
                     const bool close_frame = sim->probeBits(2 * e).get(s);
-                    worker_mism[worker][e] +=
-                        predicted != (open_frame ^ close_frame);
+                    w.mism[e] += predicted != (open_frame ^ close_frame);
                     total ^= predicted;
                 }
-                failures += total != obs_bits.get(s);
+                w.failures += total != obs_bits.get(s);
             }
-            worker_failures[worker] += failures;
         });
-        for (uint64_t f : worker_failures)
-            tl.failures += f;
-        for (const auto &m : worker_mism)
-            for (size_t e = 0; e < n_epochs; ++e)
-                tl.epochs[e].mismatches += m[e];
-        for (size_t e = 0; e < n_epochs; ++e)
-            tl.epochs[e].shots += batch;
+        tl.failures = 0;
+        for (const Worker &w : ctx.workers)
+            tl.failures += w.failures;
         tl.shots += batch;
     }
     // Fixed worker order keeps the merged ledger deterministic whenever
     // the per-shot traces are (virtual clock / no real deadline).
-    for (const auto &wl : worker_ledger)
-        tl.ledger.merge(wl);
+    for (const Worker &w : ctx.workers) {
+        tl.ledger.merge(w.ledger);
+        for (size_t e = 0; e < n_epochs; ++e)
+            tl.epochs[e].mismatches += w.mism[e];
+    }
+    for (EpochStats &st : tl.epochs)
+        st.shots = tl.shots;
+}
+
+/** build → sample/decode for one plan. A plan that is not alive (dead
+ *  chip or deformation window) and a seam with no continuation of the
+ *  logical take the one dead path: all shots a deterministic loss. */
+TimelineStats
+runTimeline(RunContext &ctx, const ScenarioPlan &plan, uint64_t salt,
+            uint64_t failuresSoFar)
+{
+    TimelineStats tl;
+    std::shared_ptr<const CachedTimeline> tlc;
+    if (plan.alive)
+        tlc = build(ctx, plan, tl.ledger);
+    if (!tlc || !tlc->alive)
+        return deadTimeline(ctx.cfg, plan.numEvents);
+    tl.events = plan.numEvents;
+    sampleDecode(ctx, *tlc, salt, failuresSoFar, tl);
     return tl;
 }
+
+/** Stage checkpoint: rewrite the checkpoint (atomic rename) after every
+ *  timeline, so a kill loses at most the one in flight; a failed write
+ *  only warns. The fault plan's snap.kill crashes the run here. */
+void
+checkpoint(RunContext &ctx)
+{
+    const bool persist_on = !ctx.cfg.persistDir.empty();
+    if (persist_on)
+        if (Status s = saveRunCheckpoint(ctx.ckptPath, ctx.configSig,
+                                         ctx.out.timelines, ctx.snapInject,
+                                         kSnapSaltCheckpoint);
+            !s.ok())
+            warn("scenario checkpoint: " + s.str());
+    const uint32_t kill = ctx.inject.killAfterTimelines();
+    if (kill && ctx.out.timelines.size() == kill)
+        // A resumed run starts past `kill` timelines and never re-fires.
+        throw StatusError(Status::aborted(
+            "fault injection: simulated crash after " +
+            std::to_string(kill) + " completed timelines" +
+            (persist_on
+                 ? " (checkpoint '" + ctx.ckptPath + "' is resumable)"
+                 : std::string())));
+}
+
+/** Stage save: a completed run rewrites the cache snapshot and drops its
+ *  checkpoint. */
+void
+save(RunContext &ctx)
+{
+    const ScenarioConfig &cfg = ctx.cfg;
+    if (cfg.persistDir.empty())
+        return;
+    if (cfg.useCache) {
+        StatusOr<SnapshotSaveStats> saved =
+            saveCacheSnapshot(ctx.cache, cfg.persistDir + "/cache.snap",
+                              ctx.snapInject, kSnapSaltCache);
+        if (saved.ok())
+            ctx.out.persistSnapshotBytes = saved->fileBytes;
+        else
+            warn("scenario cache snapshot: " + saved.status().str());
+    }
+    ::unlink(ctx.ckptPath.c_str());
+}
+
+} // namespace
 
 Status
 validateScenarioConfig(const ScenarioConfig &cfg)
@@ -523,23 +718,25 @@ validateScenarioConfig(const ScenarioConfig &cfg)
     auto prob_ok = [](double p) {
         return std::isfinite(p) && p >= 0.0 && p <= 1.0;
     };
+    // An enum value outside its named set (e.g. cast from bad input).
+    auto unknown = [&bad](const char *type, auto v,
+                          std::initializer_list<decltype(v)> known) {
+        return std::find(known.begin(), known.end(), v) == known.end()
+                   ? bad(std::string("unknown ") + type + " value " +
+                         std::to_string(static_cast<int>(v)))
+                   : Status::okStatus();
+    };
     if (cfg.timeline.d < 2 || cfg.timeline.d > 512)
         return bad("code distance d=" + std::to_string(cfg.timeline.d) +
                    " out of range [2, 512]");
     if (cfg.timeline.deltaD < 0)
         return bad("deltaD must be >= 0");
-    switch (cfg.timeline.strategy) {
-      case Strategy::LatticeSurgery:
-      case Strategy::Ascs:
-      case Strategy::Q3de:
-      case Strategy::Q3deRevised:
-      case Strategy::SurfDeformer:
-        break;
-      default:
-        return bad("unknown Strategy value " +
-                   std::to_string(
-                       static_cast<int>(cfg.timeline.strategy)));
-    }
+    if (Status s = unknown("Strategy", cfg.timeline.strategy,
+                           {Strategy::LatticeSurgery, Strategy::Ascs,
+                            Strategy::Q3de, Strategy::Q3deRevised,
+                            Strategy::SurfDeformer});
+        !s.ok())
+        return s;
     if (!prob_ok(cfg.fabDefects.qubitRate))
         return bad("fabDefects.qubitRate must be a probability in [0, 1]");
     if (!prob_ok(cfg.fabDefects.couplerRate))
@@ -577,24 +774,16 @@ validateScenarioConfig(const ScenarioConfig &cfg)
     if (!(std::isfinite(cfg.defectModel.cycleTimeSec) &&
           cfg.defectModel.cycleTimeSec > 0.0))
         return bad("defectModel.cycleTimeSec must be finite and > 0");
-    switch (cfg.decoder) {
-      case DecoderKind::Mwpm:
-      case DecoderKind::UnionFind:
-      case DecoderKind::Auto:
-        break;
-      default:
-        return bad("unknown DecoderKind value " +
-                   std::to_string(static_cast<int>(cfg.decoder)));
-    }
-    switch (cfg.matching) {
-      case MatchingBackend::Dense:
-      case MatchingBackend::Sparse:
-      case MatchingBackend::SparseBlossom:
-        break;
-      default:
-        return bad("unknown MatchingBackend value " +
-                   std::to_string(static_cast<int>(cfg.matching)));
-    }
+    if (Status s = unknown("DecoderKind", cfg.decoder,
+                           {DecoderKind::Mwpm, DecoderKind::UnionFind,
+                            DecoderKind::Auto});
+        !s.ok())
+        return s;
+    if (Status s = unknown("MatchingBackend", cfg.matching,
+                           {MatchingBackend::Dense, MatchingBackend::Sparse,
+                            MatchingBackend::SparseBlossom});
+        !s.ok())
+        return s;
     if (cfg.basis != PauliType::X && cfg.basis != PauliType::Z)
         return bad("basis must be Pauli X or Z");
     return validateFaultPlan(cfg.faults);
@@ -636,256 +825,79 @@ validateDefectStream(const std::vector<DefectEvent> &events,
     return Status::okStatus();
 }
 
+TimelineStats
+runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
+                   DeformedCodeCache &cache, uint64_t batchSeedBase,
+                   uint64_t failuresSoFar)
+{
+    RunContext ctx(cfg, &cache);
+    return runTimeline(ctx, plan, batchSeedBase, failuresSoFar);
+}
+
 StatusOr<ScenarioResult>
 runScenarioExperimentChecked(const ScenarioConfig &userCfg)
 {
-    ScenarioConfig cfg = userCfg;
-    if (!cfg.faults.enabled()) {
-        // The environment plan fills an empty config plan (explicit
-        // config plans win), so any existing entry point can be fault
-        // tested without code changes.
-        StatusOr<FaultPlan> env = faultPlanFromEnv();
-        if (!env.ok())
-            return env.status();
-        cfg.faults = *env;
-    }
-    if (cfg.persistDir.empty()) {
-        const char *env = std::getenv("SURF_PERSIST_DIR");
-        if (env && *env)
-            cfg.persistDir = env;
-    }
-    if (Status s = validateScenarioConfig(cfg); !s.ok())
-        return s;
+    StatusOr<ScenarioConfig> merged = validate(userCfg);
+    if (!merged.ok())
+        return merged.status();
+    const ScenarioConfig &cfg = merged.value();
 
     try {
-        ScenarioResult out;
+        RunContext ctx(cfg, cfg.cache);
+        ScenarioResult &out = ctx.out;
         out.horizonRounds = cfg.timeline.horizonRounds;
-        DeformedCodeCache local_cache;
-        DeformedCodeCache &cache = cfg.cache ? *cfg.cache : local_cache;
         if (cfg.cacheMaxBytes || cfg.cacheMaxEntries)
-            cache.setBudget(cfg.cacheMaxBytes, cfg.cacheMaxEntries);
-        const uint64_t hits0 = cache.hits(), misses0 = cache.misses();
-        const uint64_t evictions0 = cache.evictions();
+            ctx.cache.setBudget(cfg.cacheMaxBytes, cfg.cacheMaxEntries);
+        const uint64_t hits0 = ctx.cache.hits();
+        const uint64_t misses0 = ctx.cache.misses();
+        const uint64_t evictions0 = ctx.cache.evictions();
 
-        const FaultInjector inject(cfg.faults);
-        const FaultInjector *snapInject = inject.enabled() ? &inject : nullptr;
+        restore(ctx);
 
-        // --- Warm-start persistence: restore the cache snapshot and any
-        // compatible run checkpoint before the first timeline. Every
-        // failure shape — missing file, torn tail, flipped bit, version
-        // skew, semantic mismatch — degrades to a cold start with a
-        // ledger recovery count; restored state can never change results
-        // (cache entries are pure functions of their keys; checkpoint
-        // stats replicate completed timelines exactly).
-        const bool persist_on = !cfg.persistDir.empty();
-        std::string ckpt_path;
-        uint64_t config_sig = 0;
-        if (persist_on) {
-            if (Status s = ensurePersistDir(cfg.persistDir); !s.ok())
-                return s;
-            const std::string snap_path = cfg.persistDir + "/cache.snap";
-            config_sig = scenarioConfigSignature(cfg);
-            char sig_hex[24];
-            std::snprintf(sig_hex, sizeof sig_hex, "%016llx",
-                          static_cast<unsigned long long>(config_sig));
-            ckpt_path = cfg.persistDir + "/run-" + sig_hex + ".ckpt";
-
-            const auto t0 = std::chrono::steady_clock::now();
-            if (cfg.useCache && snapshotFileExists(snap_path)) {
-                StatusOr<SnapshotRestoreStats> restored =
-                    loadCacheSnapshot(cache, snap_path);
-                if (restored.ok()) {
-                    out.persistRestoredSegments = restored->segments;
-                    out.persistRestoredTimelines = restored->timelines;
-                    out.persistRejectedRecords = restored->rejectedRecords;
-                    out.persistSnapshotBytes = restored->fileBytes;
-                    out.ledger.snapRestoredEntries +=
-                        restored->segments + restored->timelines;
-                    out.ledger.snapRejectedRecords +=
-                        restored->rejectedRecords;
-                    if (restored->truncated) {
-                        // The torn record itself (CRC-valid prefix kept).
-                        ++out.persistRejectedRecords;
-                        ++out.ledger.snapRejectedRecords;
-                    }
-                } else {
-                    ++out.persistRecoveries;
-                    ++out.ledger.snapRecoveries;
-                }
-            }
-            if (snapshotFileExists(ckpt_path)) {
-                StatusOr<RunCheckpoint> ckpt = loadRunCheckpoint(ckpt_path);
-                if (ckpt.ok() && ckpt->configSignature == config_sig) {
-                    for (TimelineStats &tl : ckpt->completed) {
-                        out.shots += tl.shots;
-                        out.failures += tl.failures;
-                        out.totalEpochs += tl.epochs.size();
-                        out.deadTimelines += tl.dead ? 1 : 0;
-                        out.ledger.merge(tl.ledger);
-                        out.timelines.push_back(std::move(tl));
-                    }
-                    out.resumedTimelines = out.timelines.size();
-                } else if (!ckpt.ok()) {
-                    ++out.persistRecoveries;
-                    ++out.ledger.snapRecoveries;
-                }
-                // ok() but mismatched signature: a stale checkpoint from
-                // a different physics config — ignored, not a recovery.
-            }
-            out.persistRestoreSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-        }
-
-        StrategyMemo memo;
-        const CodePatch base = squarePatch(cfg.timeline.d);
-        DefectModelParams model = cfg.defectModel;
-        model.eventRatePerQubitSec *= cfg.eventRateScale;
-
-        // --- Fabrication defects: sample the run's base chip once and
-        // adapt it once. When the fault plan also injects per-timeline
-        // fab defects, every timeline re-samples on top of the base chip
-        // and re-adapts (still pure functions of seeds and salts). A
-        // disabled model with no fab fault plan leaves `chip` empty and
-        // this whole layer is bit-identical to a config without it.
-        const bool fab_inject = cfg.faults.fabQubitProb > 0.0 ||
-                                cfg.faults.fabCouplerProb > 0.0;
-        FabDefectSample chip;
+        // The run's base chip, sampled and adapted once. A disabled model
+        // leaves it empty, and then the fab layer is bit-identical to a
+        // config without it.
+        ctx.base = squarePatch(cfg.timeline.d);
         if (cfg.fabDefects.enabled())
-            chip = std::move(
-                sampleFabDefectsChecked(base, cfg.fabDefects).value());
-        out.fabDefectiveQubits = chip.qubits.size();
-        out.fabDefectiveCouplers = chip.couplers.size();
-        std::optional<FabAdaptation> chip_adapt;
-        if (!chip.empty()) {
-            chip_adapt = std::move(
-                adaptFabDefectsChecked(cfg.timeline.strategy, cfg.timeline.d,
-                                       cfg.timeline.deltaD, chip)
-                    .value());
-            out.fabDisabledData = chip_adapt->disabledData;
-            out.fabSuperClusters = chip_adapt->superClusters;
-            out.fabDistX = chip_adapt->outcome.distX;
-            out.fabDistZ = chip_adapt->outcome.distZ;
-            out.fabChipAlive = chip_adapt->outcome.alive;
+            ctx.chip = std::move(
+                sampleFabDefectsChecked(ctx.base, cfg.fabDefects).value());
+        ctx.chipAdapt = adaptChip(cfg, ctx.chip);
+        out.fabDefectiveQubits = ctx.chip.qubits.size();
+        out.fabDefectiveCouplers = ctx.chip.couplers.size();
+        if (ctx.chipAdapt) {
+            out.fabDisabledData = ctx.chipAdapt->disabledData;
+            out.fabSuperClusters = ctx.chipAdapt->superClusters;
+            out.fabDistX = ctx.chipAdapt->outcome.distX;
+            out.fabDistZ = ctx.chipAdapt->outcome.distZ;
+            out.fabChipAlive = ctx.chipAdapt->outcome.alive;
         }
 
         // Resume at the first unfinished timeline. Per-timeline seeds
         // derive from t alone (not from any predecessor), so skipping
         // completed timelines reproduces the uninterrupted run exactly.
         for (int t = static_cast<int>(out.timelines.size());
-             t < cfg.numTimelines; ++t) {
-            if (out.failures >= cfg.targetFailures)
-                break;
-            const uint64_t timeline_salt =
+             t < cfg.numTimelines && out.failures < cfg.targetFailures;
+             ++t) {
+            const uint64_t salt =
                 cfg.seed + static_cast<uint64_t>(t) * kTimelineSeedStride;
-            std::vector<DefectEvent> events;
-            if (cfg.eventRateScale > 0.0) {
-                DefectSampler sampler(model,
-                                      mixSeed(cfg.seed, 0xdefec7 + t));
-                events =
-                    sampler.sampleEvents(base, cfg.timeline.horizonRounds);
-            }
-            if (inject.enabled())
-                inject.mutateStream(timeline_salt, events);
-            // Validates externally-supplied malformations too: the
-            // sampler's own streams always pass.
-            if (Status s = validateDefectStream(events, cfg); !s.ok())
-                return s;
-
-            // This timeline's chip: the run's base chip plus any
-            // fault-plan-injected fabrication defects. Re-adapt only when
-            // injection can change the sample; otherwise reuse the
-            // once-adapted base chip.
-            const FabAdaptation *adapt =
-                chip_adapt ? &*chip_adapt : nullptr;
-            std::optional<FabAdaptation> tl_adapt;
-            if (fab_inject) {
-                FabDefectSample tl_sample = chip;
-                inject.injectFabDefects(timeline_salt, base, tl_sample);
-                if (!tl_sample.empty()) {
-                    tl_adapt = std::move(
-                        adaptFabDefectsChecked(cfg.timeline.strategy,
-                                               cfg.timeline.d,
-                                               cfg.timeline.deltaD, tl_sample)
-                            .value());
-                    adapt = &*tl_adapt;
-                }
-            }
-
-            TimelineStats tl;
-            if (adapt && !adapt->outcome.alive) {
-                // Dead chip: the yield contract. The adapted distance
-                // collapsed, so every shot is a deterministic logical
-                // loss — tallied, never an abort; the sweep continues on
-                // the next timeline's chip.
-                tl = deadTimeline(cfg, events.size());
-                tl.ledger.fabDeadPatches = 1;
-            } else {
-                EpochPlannerConfig tcfg = cfg.timeline;
-                if (adapt)
-                    tcfg.permanentSites.insert(adapt->disabledSites.begin(),
-                                               adapt->disabledSites.end());
-                const ScenarioPlan plan = planEpochs(tcfg, events, &memo);
-                tl = runPlannedTimeline(plan, cfg, cache, timeline_salt,
-                                        out.failures);
-                if (adapt) {
-                    tl.ledger.fabAdaptedPatches += 1;
-                    tl.ledger.fabDistanceLoss += adapt->distanceLoss;
-                }
-            }
-            out.shots += tl.shots;
-            out.failures += tl.failures;
-            out.totalEpochs += tl.epochs.size();
-            out.deadTimelines += tl.dead ? 1 : 0;
-            out.ledger.merge(tl.ledger);
-            out.timelines.push_back(std::move(tl));
-            if (persist_on) {
-                // Durable progress: the checkpoint is rewritten (atomic
-                // rename) after every timeline, so a kill at any moment
-                // loses at most the in-flight timeline. A failed write
-                // degrades durability, never the run.
-                if (Status s = saveRunCheckpoint(ckpt_path, config_sig,
-                                                 out.timelines, snapInject,
-                                                 kSnapSaltCheckpoint);
-                    !s.ok())
-                    warn("scenario checkpoint: " + s.str());
-            }
-            const uint32_t kill = inject.killAfterTimelines();
-            if (kill && out.timelines.size() == kill)
-                // Simulated crash (snap.kill): cumulative semantics — a
-                // resumed run starts past `kill` completed timelines and
-                // never re-triggers, like a real crash that was fixed.
-                return Status::aborted(
-                    "fault injection: simulated crash after " +
-                    std::to_string(kill) + " completed timelines" +
-                    (persist_on ? " (checkpoint '" + ckpt_path +
-                                      "' is resumable)"
-                                : std::string()));
+            std::optional<FabAdaptation> injected;
+            const FabAdaptation *adapt = chip(ctx, salt, injected);
+            const ScenarioPlan planned = plan(ctx, t, salt, adapt);
+            account(ctx, runTimeline(ctx, planned, salt, out.failures),
+                    adapt);
+            checkpoint(ctx);
         }
-        if (persist_on) {
-            if (cfg.useCache) {
-                StatusOr<SnapshotSaveStats> saved = saveCacheSnapshot(
-                    cache, cfg.persistDir + "/cache.snap", snapInject,
-                    kSnapSaltCache);
-                if (saved.ok())
-                    out.persistSnapshotBytes = saved->fileBytes;
-                else
-                    warn("scenario cache snapshot: " +
-                         saved.status().str());
-            }
-            ::unlink(ckpt_path.c_str()); // run complete; nothing to resume
-        }
-        out.cacheHits = cache.hits() - hits0;
-        out.cacheMisses = cache.misses() - misses0;
-        out.cacheEvictions = cache.evictions() - evictions0;
+        save(ctx);
 
+        out.cacheHits = ctx.cache.hits() - hits0;
+        out.cacheMisses = ctx.cache.misses() - misses0;
+        out.cacheEvictions = ctx.cache.evictions() - evictions0;
         const auto est = estimateBinomial(out.failures, out.shots);
         out.pShot = est.p;
         out.se = est.stderr;
         out.pRound = perRoundRate(
             out.pShot, static_cast<size_t>(cfg.timeline.horizonRounds));
-        return out;
+        return std::move(out);
     } catch (const StatusError &e) {
         // Deep-layer failures (epoch planner, cache builders, decode
         // workers via the pool's first-exception rethrow) surface here

@@ -1,13 +1,21 @@
 /**
  * @file
  * Dynamic-scenario Monte-Carlo engine: memory experiments across live
- * deformations. A scenario samples a burst-defect timeline, plans epochs
- * (maximal runs of rounds with a constant deformed patch — see
- * epoch_plan.hh), stitches one syndrome-circuit segment per epoch into a
- * single concatenated circuit (data-qubit error frames carry across
- * seams; seam detectors reference the previous epoch's final inferences),
- * samples it with the batched frame simulator, and decodes per epoch with
- * DeformedCodeCache-memoized decoder graphs on the threaded pipeline.
+ * deformations (the detect → re-plan → deform → decode loop) on top of a
+ * fabrication-defect baseline. One driver runs these stages over a run
+ * context (config, cache, fault injector, thread pool, worker scratch):
+ *  - validate: environment merge, config checks;
+ *  - restore: cache snapshot and run checkpoint (persistDir);
+ *  - per timeline: chip (fab defects, adapted by the strategy) → plan (a
+ *    sampled burst-defect stream cut into epochs, maximal runs of rounds
+ *    with a constant deformed patch; see epoch_plan.hh) → build (one
+ *    segment per epoch stitched into one circuit — data-qubit frames
+ *    carry across seams, seam detectors reference the previous epoch's
+ *    final inferences — plus DeformedCodeCache-memoized decoders) →
+ *    sample/decode (batched frame simulator, threaded per-epoch decode,
+ *    deadline ladder) → account → checkpoint;
+ *  - save: cache snapshot.
+ * A dead chip, plan or seam is one deterministic all-loss timeline.
  *
  * Guarantees:
  *  - A defect-free scenario plans exactly one epoch and reproduces
@@ -180,16 +188,15 @@ struct ScenarioResult
     /** Run-wide degradation ledger (timeline ledgers merged in order). */
     DegradationLedger ledger;
 
-    // Warm-start persistence accounting (all zero without persistDir).
+    // Warm-start persistence accounting (all zero without persistDir;
+    // refused records and cold fallbacks count in ledger.snap*).
     uint64_t persistRestoredSegments = 0;
     uint64_t persistRestoredTimelines = 0;
     /** Always 0: snapshots carry no rows since ABI v3 (restored graphs
      *  rebuild rows on demand). Kept because callers still read it. */
     uint64_t persistRestoredRows = 0;
-    uint64_t persistRejectedRecords = 0; ///< snapshot records refused
-    uint64_t persistRecoveries = 0;      ///< whole-file cold fallbacks
-    uint64_t resumedTimelines = 0;       ///< timelines from a checkpoint
-    double persistRestoreSeconds = 0.0;  ///< wall time spent restoring
+    uint64_t resumedTimelines = 0;      ///< timelines from a checkpoint
+    double persistRestoreSeconds = 0.0; ///< wall time spent restoring
     /** cache.snap size: bytes read at restore, then bytes written at a
      *  successful save (whichever happened last). */
     uint64_t persistSnapshotBytes = 0;
@@ -234,8 +241,8 @@ Status validateDefectStream(const std::vector<DefectEvent> &events,
 StatusOr<ScenarioResult> runScenarioExperimentChecked(const ScenarioConfig &cfg);
 
 /**
- * Run one explicitly-planned timeline (the engine behind
- * runScenarioExperimentChecked; runMemoryExperiment is the one-epoch case).
+ * Run one explicitly-planned timeline through build and sample/decode
+ * (runMemoryExperiment is the one-epoch case) on its own pool.
  * @param batchSeedBase first per-batch sampling seed (incremented batch
  *        by batch, exactly like the memory pipeline)
  * @param failuresSoFar early-stop tally carried across timelines

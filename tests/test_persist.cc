@@ -285,7 +285,7 @@ TEST(CacheSnapshot, WarmRestartBitIdenticalToCold)
     expectSameResults(*truth, *pass2);
     EXPECT_GT(pass2->persistRestoredSegments, 0u);
     EXPECT_EQ(pass2->persistRestoredRows, 0u);
-    EXPECT_EQ(pass2->persistRecoveries, 0u);
+    EXPECT_EQ(pass2->ledger.snapRecoveries, 0u);
     EXPECT_EQ(pass2->ledger.snapRestoredEntries,
               pass2->persistRestoredSegments +
                   pass2->persistRestoredTimelines);
@@ -510,7 +510,6 @@ TEST(LoaderFuzz, StaleVersionViaFaultInjection)
     StatusOr<ScenarioResult> pass2 = runScenarioExperimentChecked(clean);
     ASSERT_TRUE(pass2.ok()) << pass2.status().str();
     EXPECT_EQ(pass2->persistRestoredSegments, 0u);
-    EXPECT_GE(pass2->persistRecoveries, 1u);
     EXPECT_GE(pass2->ledger.snapRecoveries, 1u);
     expectSameResults(*pass1, *pass2);
 }

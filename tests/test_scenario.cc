@@ -297,6 +297,30 @@ TEST(ScenarioEngine, CacheAndThreadCountDoNotChangeResults)
     }
 }
 
+TEST(ScenarioEngine, DeadPlanIsAllLossWithoutBuilding)
+{
+    // A plan whose deformation window destroyed the logical qubit is a
+    // deterministic all-loss timeline: nothing is stitched, looked up or
+    // sampled, whatever the thread count.
+    ScenarioPlan plan = strikePlan(5, 2, 9, 17, 27, {5, 5}, 2);
+    plan.alive = false;
+    plan.numEvents = 3;
+    ScenarioConfig cfg = deformationScenarioConfig();
+    for (size_t threads : {1u, 4u}) {
+        cfg.threads = threads;
+        DeformedCodeCache cache;
+        const TimelineStats tl =
+            runPlannedTimeline(plan, cfg, cache, cfg.seed, 0);
+        EXPECT_TRUE(tl.dead) << "threads=" << threads;
+        EXPECT_EQ(tl.shots, cfg.maxShotsPerTimeline);
+        EXPECT_EQ(tl.failures, cfg.maxShotsPerTimeline);
+        EXPECT_EQ(tl.events, plan.numEvents);
+        EXPECT_TRUE(tl.epochs.empty());
+        EXPECT_EQ(cache.hits(), 0u);
+        EXPECT_EQ(cache.misses(), 0u);
+    }
+}
+
 TEST(ScenarioEngine, SharedCacheReusesStitchedTimelinesAndSegments)
 {
     const ScenarioPlan plan = strikePlan(5, 2, 9, 17, 27, {5, 5}, 2);
