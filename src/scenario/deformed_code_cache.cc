@@ -42,33 +42,46 @@ CachedTimeline::memoryBytes() const
     return bytes;
 }
 
-std::shared_ptr<const CachedSegment>
-DeformedCodeCache::get(const std::string &key,
-                       const std::function<CachedSegment()> &build)
+namespace {
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+} // namespace
+
+const DeformedCodeCache::Entry *
+DeformedCodeCache::lookupSegment(const std::string &key)
 {
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        ++hits_;
-        Entry &e = it->second;
-        SURF_ASSERT(e.seg, "segment lookup hit a timeline entry");
-        // Re-measure the growable part on every hit: the sparse decoder
-        // graphs grow as decode workers memoize Dijkstra rows, and a
-        // byte budget must see that growth, not the at-insert size.
-        // Everything else in the segment is immutable (measured once).
-        const size_t bytes = e.static_bytes + e.seg->dynamicBytes();
-        bytes_used_ += bytes - e.bytes;
-        e.bytes = bytes;
-        touch(e);
-        enforceBudget(&e);
-        return e.seg;
+    if (it == entries_.end()) {
+        ++misses_;
+        return nullptr;
     }
-    ++misses_;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto seg = std::make_shared<CachedSegment>(build());
-    const double cost = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    build_seconds_ += cost;
+    ++hits_;
+    Entry &e = it->second;
+    SURF_ASSERT(e.seg, "segment lookup hit a timeline entry");
+    // Re-measure the growable part on every hit: the sparse decoder
+    // graphs grow as decode workers memoize Dijkstra rows, and a
+    // byte budget must see that growth, not the at-insert size.
+    // Everything else in the segment is immutable (measured once).
+    const size_t bytes = e.static_bytes + e.seg->dynamicBytes();
+    bytes_used_ += bytes - e.bytes;
+    e.bytes = bytes;
+    touch(e);
+    enforceBudget(&e);
+    return &e;
+}
+
+const DeformedCodeCache::Entry &
+DeformedCodeCache::insertSegment(const std::string &key,
+                                 std::shared_ptr<const CachedSegment> seg,
+                                 double cost)
+{
     Entry entry;
     entry.seg = std::move(seg);
     entry.bytes = entry.seg->memoryBytes() + key.size();
@@ -78,7 +91,31 @@ DeformedCodeCache::get(const std::string &key,
     bytes_used_ += stored.bytes;
     touch(stored);
     enforceBudget(&stored);
-    return stored.seg;
+    return stored;
+}
+
+std::shared_ptr<const CachedSegment>
+DeformedCodeCache::get(const std::string &key,
+                       const std::function<CachedSegment()> &build)
+{
+    if (const Entry *hit = lookupSegment(key))
+        return hit->seg;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto seg = std::make_shared<const CachedSegment>(build());
+    const double cost = secondsSince(t0);
+    build_seconds_ += cost;
+    return insertSegment(key, std::move(seg), cost).seg;
+}
+
+std::shared_ptr<const CachedSegment>
+DeformedCodeCache::get(const std::string &key,
+                       std::shared_ptr<const CachedSegment> built,
+                       double cost)
+{
+    if (const Entry *hit = lookupSegment(key))
+        return hit->seg;
+    build_seconds_ += cost;
+    return insertSegment(key, std::move(built), cost).seg;
 }
 
 void
@@ -111,48 +148,40 @@ DeformedCodeCache::timelineBytes(const Entry &e) const
     return bytes;
 }
 
-std::shared_ptr<const CachedTimeline>
-DeformedCodeCache::getTimeline(const std::string &key,
-                               const std::function<CachedTimeline()> &build)
+const DeformedCodeCache::Entry *
+DeformedCodeCache::lookupTimeline(const std::string &key)
 {
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        ++hits_;
-        ++timeline_hits_;
-        Entry &e = it->second;
-        SURF_ASSERT(e.tl, "timeline lookup hit a segment entry");
-        // A warm hit skips the per-epoch get() calls, so keep the
-        // pinned segment entries live in the budget's eyes: re-measure
-        // their growable row pools and lift their LRU stamps. Segments
-        // whose own entries were evicted stay resident through the
-        // timeline's pins — re-measure charges them to this entry.
-        for (const CachedTimelineEpoch &ep : e.tl->epochs)
-            if (!ep.segKey.empty())
-                refreshSegment(ep.segKey);
-        const size_t bytes = timelineBytes(e);
-        bytes_used_ += bytes - e.bytes;
-        e.bytes = bytes;
-        touch(e);
-        enforceBudget(&e);
-        return e.tl;
+    if (it == entries_.end()) {
+        ++misses_;
+        ++timeline_misses_;
+        return nullptr;
     }
-    ++misses_;
-    ++timeline_misses_;
-    const auto t0 = std::chrono::steady_clock::now();
-    const double nested0 = build_seconds_;
-    // The build resolves its per-epoch segments through get(), so it
-    // must run before this entry is inserted (the nested lookups mutate
-    // the map and may evict).
-    auto tl = std::make_shared<CachedTimeline>(build());
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    // The nested segment misses already logged their own build time and
-    // carry their own eviction priorities; this entry's cost is the
-    // stitching work on top of them (what a rebuild against cached
-    // segments would pay).
-    const double cost = std::max(0.0, wall - (build_seconds_ - nested0));
-    build_seconds_ += cost;
+    ++hits_;
+    ++timeline_hits_;
+    Entry &e = it->second;
+    SURF_ASSERT(e.tl, "timeline lookup hit a segment entry");
+    // A warm hit skips the per-epoch get() calls, so keep the
+    // pinned segment entries live in the budget's eyes: re-measure
+    // their growable row pools and lift their LRU stamps. Segments
+    // whose own entries were evicted stay resident through the
+    // timeline's pins — re-measure charges them to this entry.
+    for (const CachedTimelineEpoch &ep : e.tl->epochs)
+        if (!ep.segKey.empty())
+            refreshSegment(ep.segKey);
+    const size_t bytes = timelineBytes(e);
+    bytes_used_ += bytes - e.bytes;
+    e.bytes = bytes;
+    touch(e);
+    enforceBudget(&e);
+    return &e;
+}
+
+const DeformedCodeCache::Entry &
+DeformedCodeCache::insertTimeline(const std::string &key,
+                                  std::shared_ptr<const CachedTimeline> tl,
+                                  double cost)
+{
     Entry entry;
     entry.tl = std::move(tl);
     entry.static_bytes = entry.tl->memoryBytes() + key.size();
@@ -164,7 +193,40 @@ DeformedCodeCache::getTimeline(const std::string &key,
     bytes_used_ += stored.bytes;
     touch(stored);
     enforceBudget(&stored);
-    return stored.tl;
+    return stored;
+}
+
+std::shared_ptr<const CachedTimeline>
+DeformedCodeCache::getTimeline(const std::string &key,
+                               const std::function<CachedTimeline()> &build)
+{
+    return getTimeline(key, [&](double &cost) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const double nested0 = build_seconds_;
+        CachedTimeline tl = build();
+        // The nested segment misses already logged their own build time
+        // and carry their own eviction priorities; this entry's cost is
+        // the stitching work on top of them (what a rebuild against
+        // cached segments would pay).
+        cost = std::max(0.0, secondsSince(t0) - (build_seconds_ - nested0));
+        return tl;
+    });
+}
+
+std::shared_ptr<const CachedTimeline>
+DeformedCodeCache::getTimeline(
+    const std::string &key,
+    const std::function<CachedTimeline(double &cost)> &build)
+{
+    if (const Entry *hit = lookupTimeline(key))
+        return hit->tl;
+    // The build resolves its per-epoch segments through get(), so it
+    // must run before this entry is inserted (the nested lookups mutate
+    // the map and may evict).
+    double cost = 0.0;
+    auto tl = std::make_shared<const CachedTimeline>(build(cost));
+    build_seconds_ += cost;
+    return insertTimeline(key, std::move(tl), cost).tl;
 }
 
 void
@@ -252,15 +314,8 @@ DeformedCodeCache::restoreSegment(const std::string &key, CachedSegment seg,
 {
     if (entries_.count(key))
         return false;
-    Entry entry;
-    entry.seg = std::make_shared<CachedSegment>(std::move(seg));
-    entry.bytes = entry.seg->memoryBytes() + key.size();
-    entry.static_bytes = entry.bytes - entry.seg->dynamicBytes();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
+    insertSegment(key, std::make_shared<const CachedSegment>(std::move(seg)),
+                  cost);
     return true;
 }
 
@@ -270,15 +325,8 @@ DeformedCodeCache::restoreTimeline(const std::string &key, CachedTimeline tl,
 {
     if (entries_.count(key))
         return false;
-    Entry entry;
-    entry.tl = std::make_shared<CachedTimeline>(std::move(tl));
-    entry.static_bytes = entry.tl->memoryBytes() + key.size();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    stored.bytes = timelineBytes(stored);
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
+    insertTimeline(key, std::make_shared<const CachedTimeline>(std::move(tl)),
+                   cost);
     return true;
 }
 

@@ -20,8 +20,11 @@
  * segment still referenced by an in-flight timeline survives its own
  * eviction.
  *
- * Not thread-safe: the scenario engine populates it from the orchestrating
- * thread only; decode workers share the immutable entries.
+ * Not thread-safe. The scenario engine builds a timeline's missing
+ * segments as tasks on its thread pool, but inserts them (and replays
+ * eviction storms) from the orchestrating thread only, in epoch order, so
+ * hits, misses and evictions match a serial build; decode workers share
+ * the immutable entries.
  */
 
 #ifndef SURF_SCENARIO_DEFORMED_CODE_CACHE_HH
@@ -107,6 +110,16 @@ class DeformedCodeCache
     get(const std::string &key, const std::function<CachedSegment()> &build);
 
     /**
+     * Look up `key` with a segment built beforehand (possibly on another
+     * thread): a hit drops `built`; a miss inserts it with `cost`, the
+     * seconds its build took, as its GreedyDual cost and its share of
+     * buildSeconds().
+     */
+    std::shared_ptr<const CachedSegment>
+    get(const std::string &key, std::shared_ptr<const CachedSegment> built,
+        double cost);
+
+    /**
      * Timeline-level lookup: memoized stitched sampling circuits, same
      * budget and eviction policy as the segment entries (a timeline's
      * bytes exclude its segments, which keep their own entries; the
@@ -116,6 +129,16 @@ class DeformedCodeCache
     std::shared_ptr<const CachedTimeline>
     getTimeline(const std::string &key,
                 const std::function<CachedTimeline()> &build);
+
+    /**
+     * getTimeline() for a build that measures its own cost: it sets
+     * `cost` to its stitching seconds, excluding the segment builds it
+     * resolves (those log their own cost, and may have overlapped on
+     * other threads, so the wall-time difference above would undercount).
+     */
+    std::shared_ptr<const CachedTimeline>
+    getTimeline(const std::string &key,
+                const std::function<CachedTimeline(double &cost)> &build);
 
     /**
      * Bound the cache: evict (cost-weighted LRU) until the approximate
@@ -138,7 +161,9 @@ class DeformedCodeCache
      *  workers memoize Dijkstra rows — so byte budgets track the real
      *  footprint of each entry as of its last use. */
     size_t bytesUsed() const { return bytes_used_; }
-    /** Total seconds spent building entries (misses). */
+    /** Seconds spent building entries (misses), summed over the threads
+     *  that built them: segments built in parallel each add their own
+     *  build time, so this can exceed the wall time of the run. */
     double buildSeconds() const { return build_seconds_; }
 
     /**
@@ -202,6 +227,17 @@ class DeformedCodeCache
         double pri = 0.0;        ///< GreedyDual priority at last use
     };
 
+    /** Count a lookup: the resident entry (re-measured, touched) on a
+     *  hit, null on a miss. */
+    const Entry *lookupSegment(const std::string &key);
+    const Entry *lookupTimeline(const std::string &key);
+    /** Insert a new entry and enforce the budget around it. */
+    const Entry &insertSegment(const std::string &key,
+                               std::shared_ptr<const CachedSegment> seg,
+                               double cost);
+    const Entry &insertTimeline(const std::string &key,
+                                std::shared_ptr<const CachedTimeline> tl,
+                                double cost);
     void touch(Entry &e);
     void enforceBudget(const Entry *pinned);
     /** Re-measure + touch a segment entry by key (timeline hits). */

@@ -5,9 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <optional>
-#include <type_traits>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -34,6 +35,14 @@ mixSeed(uint64_t seed, uint64_t salt)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 /** Per-timeline stride of the batch-seed sequence; timeline 0 starts at
@@ -161,7 +170,7 @@ struct RunContext
     RunContext(const ScenarioConfig &c, DeformedCodeCache *external)
         : cfg(c), cache(external ? *external : localCache),
           inject(c.faults), snapInject(inject.enabled() ? &inject : nullptr),
-          pool(c.threads), workers(pool.size())
+          pool(c.threads), workers(pool.size()), memos(pool.size())
     {
         // Stall plans arm a default budget on the virtual clock, so
         // every ladder choice (and recorded latency) is deterministic.
@@ -192,25 +201,12 @@ struct RunContext
     std::string ckptPath; ///< set when persistence is on
     uint64_t configSig = 0;
     CodePatch base;
-    StrategyMemo memo;
+    /** One per pool worker: outcomes are pure functions of the defect
+     *  set, so which worker plans a timeline never changes its plan. */
+    std::vector<StrategyMemo> memos;
     FabDefectSample chip;                   ///< the run's base chip
     std::optional<FabAdaptation> chipAdapt; ///< set when chip non-empty
 };
-
-/** One resolution path for segment and timeline entries: the cache when
- *  it is on, a fresh build otherwise (the same bits either way). */
-template <typename Entry>
-std::shared_ptr<const Entry>
-resolve(RunContext &ctx,
-        std::shared_ptr<const Entry> (DeformedCodeCache::*get)(
-            const std::string &, const std::function<Entry()> &),
-        const std::string &key,
-        const std::type_identity_t<std::function<Entry()>> &build)
-{
-    if (ctx.cfg.useCache)
-        return (ctx.cache.*get)(key, build);
-    return std::make_shared<const Entry>(build());
-}
 
 /** Stage validate: the environment fills an empty fault plan
  *  (SURF_FAULT_PLAN) and persist dir (SURF_PERSIST_DIR), so any entry
@@ -309,9 +305,7 @@ restore(RunContext &ctx)
             out.resumedTimelines = out.timelines.size();
         }
     }
-    out.persistRestoreSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    out.persistRestoreSeconds = secondsSince(t0);
 }
 
 /** The strategy's adaptation of a chip sample (none for a pristine one). */
@@ -330,7 +324,7 @@ adaptChip(const ScenarioConfig &cfg, const FabDefectSample &sample)
  *  this timeline, adapted into `own`. Without fab injection every
  *  timeline shares the base chip's adaptation. Null on a pristine chip. */
 const FabAdaptation *
-chip(RunContext &ctx, uint64_t salt, std::optional<FabAdaptation> &own)
+chip(const RunContext &ctx, uint64_t salt, std::optional<FabAdaptation> &own)
 {
     if (ctx.cfg.faults.fabQubitProb > 0.0 ||
         ctx.cfg.faults.fabCouplerProb > 0.0) {
@@ -346,7 +340,8 @@ chip(RunContext &ctx, uint64_t salt, std::optional<FabAdaptation> &own)
  *  plan's stream faults, validate it and plan epochs around the chip's
  *  disabled sites. A dead chip's plan is not alive. */
 ScenarioPlan
-plan(RunContext &ctx, int t, uint64_t salt, const FabAdaptation *adapt)
+plan(const RunContext &ctx, int t, uint64_t salt, const FabAdaptation *adapt,
+     StrategyMemo &memo)
 {
     const ScenarioConfig &cfg = ctx.cfg;
     std::vector<DefectEvent> events;
@@ -371,36 +366,76 @@ plan(RunContext &ctx, int t, uint64_t salt, const FabAdaptation *adapt)
     if (adapt)
         tcfg.permanentSites.insert(adapt->disabledSites.begin(),
                                    adapt->disabledSites.end());
-    return planEpochs(tcfg, events, &ctx.memo);
+    return planEpochs(tcfg, events, &memo);
+}
+
+/** What one epoch's standalone decode segment is built from. */
+struct SegmentInputs
+{
+    const CodePatch *patch = nullptr;
+    const CodePatch *prevPatch = nullptr; ///< null for the first epoch
+    SegmentSpec spec;                     ///< standalone: no oracle probes
+    NoiseParams decoderNoise;
+    SeamPlan seam;
+};
+
+/** A decode-ready segment: standalone circuit, DEM and both decoders. A
+ *  pure function of its inputs, so pool workers may build in parallel. */
+CachedSegment
+buildSegment(const ScenarioConfig &cfg, const SegmentInputs &in)
+{
+    const uint8_t tag = (cfg.basis == PauliType::Z) ? 1 : 0;
+    CachedSegment cs;
+    cs.circuit = buildStandaloneSegment(*in.patch, in.spec, in.decoderNoise,
+                                        in.seam, in.prevPatch);
+    cs.dem = buildDem(cs.circuit, cfg.basis);
+    cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, nullptr,
+                                            cfg.matching);
+    if (cfg.mwpmRowBudget)
+        cs.mwpm->setRowBudget(cfg.mwpmRowBudget);
+    cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
+    return cs;
 }
 
 /**
  * Stitch a plan's sampling circuit and resolve its decode segments: a
- * pure function of (plan, decode-relevant config), the timeline key. An
- * epoch-build storm empties the cache mid-build; earlier epochs keep
- * their pinned segments, the rest rebuild, and the bits stay the same.
+ * pure function of (plan, decode-relevant config), the timeline key.
+ * Three passes:
+ *  - seam (sequential, each seam depends on the previous epoch): the
+ *    stitched circuit plus every epoch's segment key and build inputs; a
+ *    dead seam returns here, before anything is built or looked up;
+ *  - build: on the run's pool, every key that is not resident and is
+ *    the first of its kind in this timeline (so two epochs with one key
+ *    build once); each task keeps its own seconds and exception;
+ *  - resolve (epoch order): replay the epoch-build storms, raise the
+ *    lowest epoch's build error, insert prebuilt segments with their
+ *    measured cost, rebuild inline any key evicted since its build pass
+ *    check, and check detector counts.
+ * The cache sees the lookups, insertions and storms of a serial build in
+ * the same order, so its counters match one. `cost` is the seam pass's
+ * seconds (the timeline entry's own cost).
  */
 CachedTimeline
-stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
+stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger,
+       double &cost)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     const ScenarioConfig &cfg = ctx.cfg;
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
-    const uint8_t tag = (cfg.basis == PauliType::Z) ? 1 : 0;
     std::map<Coord, uint32_t> qubit_id;
     SeamState carry;
     const CodePatch *prev_patch = nullptr;
     const std::string *prev_sig = nullptr;
     std::vector<Coord> tracked; ///< representative carried across seams
-    out.epochs.reserve(n_epochs);
+    std::vector<SegmentInputs> inputs(n_epochs);
+    out.epochs.resize(n_epochs);
 
     for (size_t e = 0; e < n_epochs; ++e) {
-        if (ctx.inject.enabled() && ctx.inject.stormAtEpochBuild(0, e)) {
-            ctx.cache.evictAll();
-            ++ledger.cacheStorms;
-        }
         const Epoch &ep = plan.epochs[e];
-        const CodePatch &patch = ep.deformed.patch;
+        SegmentInputs &in = inputs[e];
+        in.patch = &ep.deformed.patch;
+        in.prevPatch = prev_patch;
         SegmentSpec spec;
         spec.basis = cfg.basis;
         spec.rounds = static_cast<int>(ep.rounds);
@@ -410,17 +445,18 @@ stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
         spec.epochProbes = true; ///< opening/closing oracle probes
 
         const std::vector<Coord> prev_tracked = tracked;
-        const SeamPlan seam =
-            computeSeamPlan(prev_patch, patch, cfg.basis, ep.activeSites,
-                            ep.startRound, e ? &prev_tracked : nullptr);
-        if (!seam.obsCarryValid) {
+        in.seam = computeSeamPlan(prev_patch, *in.patch, cfg.basis,
+                                  ep.activeSites, ep.startRound,
+                                  e ? &prev_tracked : nullptr);
+        if (!in.seam.obsCarryValid) {
             // No continuation of the tracked logical exists in the new
             // code: the burst effectively destroyed the stored qubit.
             CachedTimeline dead;
             dead.alive = false;
+            cost = secondsSince(t0);
             return dead;
         }
-        tracked = seam.trackedLogical;
+        tracked = in.seam.trackedLogical;
 
         // Sampling view: residual defects inside the code, plus active
         // defects on qubits being measured out at the seam (their readouts
@@ -428,41 +464,87 @@ stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
         NoiseParams samp_noise = cfg.noise;
         samp_noise.defectiveSites = ep.residualDefects;
         std::set<Coord> removed_untrusted;
-        for (const Coord &q : seam.removed)
+        for (const Coord &q : in.seam.removed)
             if (ep.activeSites.count(q)) {
                 samp_noise.defectiveSites.insert(q);
                 removed_untrusted.insert(q);
             }
 
         const SegmentResult res =
-            appendSegment(out.circuit, qubit_id, patch, spec, samp_noise,
-                          seam, e ? &carry : nullptr, false);
+            appendSegment(out.circuit, qubit_id, *in.patch, spec, samp_noise,
+                          in.seam, e ? &carry : nullptr, false);
         carry = std::move(res.carry);
         // Decoder view: defect-unaware unless configured otherwise.
-        NoiseParams dec_noise = cfg.noise;
-        dec_noise.defectiveSites = cfg.decoderKnowsDefects
-                                       ? ep.residualDefects
-                                       : std::set<Coord>{};
-        CachedTimelineEpoch ce;
-        ce.segKey = segmentCacheKey(prev_sig ? *prev_sig : std::string("-"),
-                                    ep.structSig, removed_untrusted,
-                                    prev_tracked, seam.trackedLogical, spec,
-                                    dec_noise, cfg);
-        ce.seg = resolve(ctx, &DeformedCodeCache::get, ce.segKey, [&] {
-            SegmentSpec standalone_spec = spec;
-            standalone_spec.epochProbes = false;
-            CachedSegment cs;
-            cs.circuit = buildStandaloneSegment(patch, standalone_spec,
-                                                dec_noise, seam, prev_patch);
-            cs.dem = buildDem(cs.circuit, cfg.basis);
-            cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, nullptr,
-                                                    cfg.matching);
-            if (cfg.mwpmRowBudget)
-                cs.mwpm->setRowBudget(cfg.mwpmRowBudget);
-            cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
-            return cs;
-        });
-        if (ce.seg->dem.numDetectors != res.detEnd - res.detBegin)
+        in.decoderNoise = cfg.noise;
+        in.decoderNoise.defectiveSites = cfg.decoderKnowsDefects
+                                             ? ep.residualDefects
+                                             : std::set<Coord>{};
+        CachedTimelineEpoch &ce = out.epochs[e];
+        ce.segKey = segmentCacheKey(
+            prev_sig ? *prev_sig : std::string("-"), ep.structSig,
+            removed_untrusted, prev_tracked, in.seam.trackedLogical, spec,
+            in.decoderNoise, cfg);
+        in.spec = spec;
+        in.spec.epochProbes = false;
+        ce.startRound = ep.startRound;
+        ce.rounds = ep.rounds;
+        ce.distX = ep.deformed.distX;
+        ce.distZ = ep.deformed.distZ;
+        ce.activeDefects = ep.activeSites.size();
+        ce.detBegin = res.detBegin;
+        ce.detEnd = res.detEnd;
+
+        prev_patch = in.patch;
+        prev_sig = &ep.structSig;
+    }
+    cost = secondsSince(t0);
+
+    struct Built
+    {
+        std::shared_ptr<const CachedSegment> seg;
+        double seconds = 0.0;
+        std::exception_ptr error;
+    };
+    std::vector<Built> built(n_epochs);
+    std::vector<size_t> first(n_epochs); ///< first epoch with this key
+    std::vector<size_t> todo;
+    std::map<std::string_view, size_t> seen;
+    for (size_t e = 0; e < n_epochs; ++e) {
+        const std::string &key = out.epochs[e].segKey;
+        const auto [it, fresh] = seen.emplace(key, e);
+        first[e] = it->second;
+        if (fresh && !(cfg.useCache && ctx.cache.peekSegment(key)))
+            todo.push_back(e);
+    }
+    ctx.pool.parallelFor(todo.size(), [&](size_t i, size_t) {
+        Built &b = built[todo[i]];
+        const auto b0 = std::chrono::steady_clock::now();
+        try {
+            b.seg = std::make_shared<const CachedSegment>(
+                buildSegment(cfg, inputs[todo[i]]));
+        } catch (...) {
+            b.error = std::current_exception();
+        }
+        b.seconds = secondsSince(b0);
+    });
+
+    for (size_t e = 0; e < n_epochs; ++e) {
+        if (ctx.inject.enabled() && ctx.inject.stormAtEpochBuild(0, e)) {
+            ctx.cache.evictAll();
+            ++ledger.cacheStorms;
+        }
+        CachedTimelineEpoch &ce = out.epochs[e];
+        Built &b = built[e];
+        if (b.error)
+            std::rethrow_exception(b.error);
+        if (!cfg.useCache)
+            ce.seg = built[first[e]].seg;
+        else if (b.seg)
+            ce.seg = ctx.cache.get(ce.segKey, std::move(b.seg), b.seconds);
+        else
+            ce.seg = ctx.cache.get(ce.segKey,
+                                   [&] { return buildSegment(cfg, inputs[e]); });
+        if (ce.seg->dem.numDetectors != ce.detEnd - ce.detBegin)
             // A structurally inconsistent epoch plan (or a malformed
             // cached DEM) surfaces as a value at the checked boundary
             // instead of killing a long-running service.
@@ -471,18 +553,7 @@ stitch(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
                 std::to_string(e) + " has " +
                 std::to_string(ce.seg->dem.numDetectors) +
                 " detectors but the concatenated circuit reserved " +
-                std::to_string(res.detEnd - res.detBegin)));
-        ce.startRound = ep.startRound;
-        ce.rounds = ep.rounds;
-        ce.distX = ep.deformed.distX;
-        ce.distZ = ep.deformed.distZ;
-        ce.activeDefects = ep.activeSites.size();
-        ce.detBegin = res.detBegin;
-        ce.detEnd = res.detEnd;
-        out.epochs.push_back(std::move(ce));
-
-        prev_patch = &patch;
-        prev_sig = &ep.structSig;
+                std::to_string(ce.detEnd - ce.detBegin)));
     }
     return out;
 }
@@ -494,9 +565,14 @@ std::shared_ptr<const CachedTimeline>
 build(RunContext &ctx, const ScenarioPlan &plan, DegradationLedger &ledger)
 {
     SURF_ASSERT(!plan.epochs.empty(), "planned timeline has no epochs");
-    return resolve(ctx, &DeformedCodeCache::getTimeline,
-                   timelineCacheKey(plan, ctx.cfg),
-                   [&] { return stitch(ctx, plan, ledger); });
+    const auto stitched = [&](double &cost) {
+        return stitch(ctx, plan, ledger, cost);
+    };
+    if (ctx.cfg.useCache)
+        return ctx.cache.getTimeline(timelineCacheKey(plan, ctx.cfg),
+                                     stitched);
+    double cost = 0.0;
+    return std::make_shared<const CachedTimeline>(stitched(cost));
 }
 
 /**
@@ -875,17 +951,46 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
         // Resume at the first unfinished timeline. Per-timeline seeds
         // derive from t alone (not from any predecessor), so skipping
         // completed timelines reproduces the uninterrupted run exactly.
-        for (int t = static_cast<int>(out.timelines.size());
-             t < cfg.numTimelines && out.failures < cfg.targetFailures;
-             ++t) {
-            const uint64_t salt =
-                cfg.seed + static_cast<uint64_t>(t) * kTimelineSeedStride;
+        // A window of timelines is chipped and planned ahead on the pool,
+        // then run in order; an error surfaces when its timeline comes
+        // up, and a stop discards the plans left in the window.
+        struct Planned
+        {
             std::optional<FabAdaptation> injected;
-            const FabAdaptation *adapt = chip(ctx, salt, injected);
-            const ScenarioPlan planned = plan(ctx, t, salt, adapt);
-            account(ctx, runTimeline(ctx, planned, salt, out.failures),
-                    adapt);
-            checkpoint(ctx);
+            const FabAdaptation *adapt = nullptr;
+            ScenarioPlan plan;
+            std::exception_ptr error;
+        };
+        const auto saltOf = [&](int t) {
+            return cfg.seed + static_cast<uint64_t>(t) * kTimelineSeedStride;
+        };
+        std::vector<Planned> ahead(ctx.pool.size());
+        int t = static_cast<int>(out.timelines.size());
+        while (t < cfg.numTimelines && out.failures < cfg.targetFailures) {
+            const int t0 = t;
+            const size_t window =
+                std::min<size_t>(ahead.size(), cfg.numTimelines - t0);
+            ctx.pool.parallelFor(window, [&](size_t i, size_t worker) {
+                Planned &p = ahead[i];
+                p = Planned{};
+                const int ti = t0 + static_cast<int>(i);
+                try {
+                    p.adapt = chip(ctx, saltOf(ti), p.injected);
+                    p.plan = plan(ctx, ti, saltOf(ti), p.adapt,
+                                  ctx.memos[worker]);
+                } catch (...) {
+                    p.error = std::current_exception();
+                }
+            });
+            for (size_t i = 0;
+                 i < window && out.failures < cfg.targetFailures; ++i, ++t) {
+                const Planned &p = ahead[i];
+                if (p.error)
+                    std::rethrow_exception(p.error);
+                account(ctx, runTimeline(ctx, p.plan, saltOf(t), out.failures),
+                        p.adapt);
+                checkpoint(ctx);
+            }
         }
         save(ctx);
 

@@ -16,6 +16,9 @@
  *    deadline ladder) → account → checkpoint;
  *  - save: cache snapshot.
  * A dead chip, plan or seam is one deterministic all-loss timeline.
+ * Chip and plan run ahead on the pool, one window of timelines at a
+ * time; build stitches in epoch order and builds missing decode
+ * segments as pool tasks.
  *
  * Guarantees:
  *  - A defect-free scenario plans exactly one epoch and reproduces

@@ -83,6 +83,16 @@ TEST(CacheRaces, RowBudgetEvictionRacesLiveRowHandles)
         << "the budget never evicted: the race was not exercised";
 }
 
+/** Segments build on the pool while lookups, insertions and evictions
+ *  stay in epoch order: the cache counters match the serial run's. */
+void
+expectSameCacheCounters(const ScenarioResult &a, const ScenarioResult &b)
+{
+    EXPECT_EQ(a.cacheHits, b.cacheHits);
+    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+    EXPECT_EQ(a.cacheEvictions, b.cacheEvictions);
+}
+
 /** Deformation scenario with enough epochs to keep the cache busy. */
 ScenarioConfig
 racyScenarioConfig()
@@ -118,15 +128,19 @@ TEST(CacheRaces, SegmentEvictionMidTimelineUnderThreads)
     // still decoding through their pinned shared_ptr handles, and the
     // row pools evict under the decode workers' feet.
     ScenarioConfig cfg = racyScenarioConfig();
-    cfg.threads = 4;
+    cfg.threads = 1;
     cfg.cacheMaxEntries = 1;
     cfg.mwpmRowBudget = 4;
+    const auto serial = runScenarioExperimentChecked(cfg);
+    ASSERT_TRUE(serial.ok()) << serial.status().str();
+    cfg.threads = 4;
     const auto bounded = runScenarioExperimentChecked(cfg);
     ASSERT_TRUE(bounded.ok()) << bounded.status().str();
     EXPECT_EQ(bounded.value().failures, ref.value().failures);
     EXPECT_EQ(bounded.value().totalEpochs, ref.value().totalEpochs);
     EXPECT_GT(bounded.value().cacheEvictions, 0u)
         << "the budget never evicted: the race was not exercised";
+    expectSameCacheCounters(bounded.value(), serial.value());
 }
 
 TEST(CacheRaces, EvictionStormsUnderThreadedPipeline)
@@ -140,15 +154,21 @@ TEST(CacheRaces, EvictionStormsUnderThreadedPipeline)
     // epoch build while four workers decode; pinned segments must keep
     // every in-flight decode safe and the physics unchanged.
     ScenarioConfig cfg = racyScenarioConfig();
-    cfg.threads = 4;
+    cfg.threads = 1;
     auto plan = parseFaultPlan("storm.batches=1;storm.epochs=1");
     ASSERT_TRUE(plan.ok());
     cfg.faults = plan.value();
+    const auto serial = runScenarioExperimentChecked(cfg);
+    ASSERT_TRUE(serial.ok()) << serial.status().str();
+    cfg.threads = 4;
     const auto stormy = runScenarioExperimentChecked(cfg);
     ASSERT_TRUE(stormy.ok()) << stormy.status().str();
     EXPECT_GT(stormy.value().ledger.cacheStorms, 0u);
+    EXPECT_EQ(stormy.value().ledger.cacheStorms,
+              serial.value().ledger.cacheStorms);
     EXPECT_EQ(stormy.value().failures, ref.value().failures);
     EXPECT_EQ(stormy.value().totalEpochs, ref.value().totalEpochs);
+    expectSameCacheCounters(stormy.value(), serial.value());
 }
 
 } // namespace

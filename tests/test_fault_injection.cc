@@ -223,6 +223,40 @@ TEST(FaultInjection, PartialStallsDegradeOnlyStalledShots)
     EXPECT_GT(led.stageCompleted[kStageUnionFind], 0u);
 }
 
+/** Run `sc` at threads 1, 4 and 8: physics, ledger and cache counters
+ *  must all match the single-threaded run. */
+ScenarioResult
+expectThreadCountReplaysMatch(ScenarioConfig sc)
+{
+    sc.threads = 1;
+    const auto ref = runScenarioExperimentChecked(sc);
+    EXPECT_TRUE(ref.ok()) << ref.status().str();
+    if (!ref.ok())
+        return {};
+    for (size_t threads : {1u, 4u, 8u}) {
+        sc.threads = threads;
+        const auto res = runScenarioExperimentChecked(sc);
+        EXPECT_TRUE(res.ok()) << res.status().str();
+        if (!res.ok())
+            continue;
+        EXPECT_EQ(res.value().shots, ref.value().shots)
+            << "threads=" << threads;
+        EXPECT_EQ(res.value().failures, ref.value().failures)
+            << "threads=" << threads;
+        EXPECT_EQ(res.value().totalEpochs, ref.value().totalEpochs)
+            << "threads=" << threads;
+        EXPECT_EQ(res.value().cacheHits, ref.value().cacheHits)
+            << "threads=" << threads;
+        EXPECT_EQ(res.value().cacheMisses, ref.value().cacheMisses)
+            << "threads=" << threads;
+        EXPECT_EQ(res.value().cacheEvictions, ref.value().cacheEvictions)
+            << "threads=" << threads;
+        expectLedgersEqual(res.value().ledger, ref.value().ledger,
+                           "threads");
+    }
+    return ref.value();
+}
+
 TEST(FaultInjection, ReplaysAreDeterministicAcrossThreadCounts)
 {
     // Stalls force the virtual clock, so stage choices, the ledger and
@@ -234,26 +268,26 @@ TEST(FaultInjection, ReplaysAreDeterministicAcrossThreadCounts)
                        "storm.batches=2");
     ASSERT_TRUE(plan.ok());
     sc.faults = plan.value();
+    const ScenarioResult ref = expectThreadCountReplaysMatch(sc);
+    EXPECT_GT(ref.ledger.degradedDecodes, 0u);
+    EXPECT_GT(ref.ledger.injectedBursts, 0u);
+}
 
-    sc.threads = 1;
-    const auto ref = runScenarioExperimentChecked(sc);
-    ASSERT_TRUE(ref.ok()) << ref.status().str();
-    EXPECT_GT(ref.value().ledger.degradedDecodes, 0u);
-    EXPECT_GT(ref.value().ledger.injectedBursts, 0u);
-
-    for (size_t threads : {1u, 4u, 8u}) {
-        sc.threads = threads;
-        const auto res = runScenarioExperimentChecked(sc);
-        ASSERT_TRUE(res.ok()) << res.status().str();
-        EXPECT_EQ(res.value().shots, ref.value().shots)
-            << "threads=" << threads;
-        EXPECT_EQ(res.value().failures, ref.value().failures)
-            << "threads=" << threads;
-        EXPECT_EQ(res.value().totalEpochs, ref.value().totalEpochs)
-            << "threads=" << threads;
-        expectLedgersEqual(res.value().ledger, ref.value().ledger,
-                           "threads");
-    }
+TEST(FaultInjection, CacheCountersMatchAcrossThreadCountsUnderStorms)
+{
+    // Segments build on the pool, but storms, lookups and insertions
+    // replay in epoch order on the calling thread: a cold cache under
+    // epoch-build storms and a two-entry budget counts the same hits,
+    // misses and evictions at any thread count.
+    ScenarioConfig sc = sampledConfig();
+    auto plan = parseFaultPlan("storm.epochs=2");
+    ASSERT_TRUE(plan.ok());
+    sc.faults = plan.value();
+    sc.cacheMaxEntries = 2;
+    const ScenarioResult ref = expectThreadCountReplaysMatch(sc);
+    EXPECT_GT(ref.ledger.cacheStorms, 0u);
+    EXPECT_GT(ref.cacheEvictions, 0u);
+    EXPECT_GT(ref.cacheMisses, 0u);
 }
 
 TEST(FaultInjection, EvictionStormsChangeCostButNotResults)

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "baselines/strategies.hh"
 #include "decode/memory_experiment.hh"
@@ -321,6 +322,82 @@ TEST(ScenarioEngine, DeadPlanIsAllLossWithoutBuilding)
     }
 }
 
+TEST(ScenarioEngine, DeadSeamBuildsAndStormsNothing)
+{
+    // A strike on the boundary whose recovery seam has no continuation
+    // of the tracked logical: the plan is alive, the stitch is not. The
+    // seam pass finds that before any segment is built or looked up, so
+    // no epoch-build storm fires and only the timeline lookup misses.
+    EpochPlannerConfig pc;
+    pc.strategy = Strategy::SurfDeformer;
+    pc.d = 5;
+    pc.deltaD = 2;
+    pc.horizonRounds = 30;
+    pc.windowRounds = 10;
+    DefectEvent ev;
+    ev.startCycle = 0;
+    ev.endCycle = 20;
+    ev.center = {9, 5};
+    ev.sites = DefectSampler::regionSites(ev.center, 2);
+    const ScenarioPlan plan = planEpochs(pc, {ev});
+    ASSERT_TRUE(plan.alive);
+    ASSERT_EQ(plan.epochs.size(), 2u);
+
+    ScenarioConfig cfg = deformationScenarioConfig();
+    cfg.faults = parseFaultPlan("storm.epochs=1").value();
+    for (size_t threads : {1u, 4u}) {
+        cfg.threads = threads;
+        DeformedCodeCache cache;
+        const TimelineStats tl =
+            runPlannedTimeline(plan, cfg, cache, cfg.seed, 0);
+        EXPECT_TRUE(tl.dead) << "threads=" << threads;
+        EXPECT_EQ(tl.failures, cfg.maxShotsPerTimeline);
+        EXPECT_EQ(tl.ledger.cacheStorms, 0u) << "threads=" << threads;
+        EXPECT_EQ(cache.timelineMisses(), 1u);
+        EXPECT_EQ(cache.misses() - cache.timelineMisses(), 0u)
+            << "a dead seam built a segment, threads=" << threads;
+        EXPECT_EQ(cache.evictions(), 0u);
+    }
+}
+
+TEST(ScenarioEngine, EpochsSharingAKeyBuildOnce)
+{
+    // Four quiet 4-round epochs: the two middle ones share prev -> cur
+    // signatures and round parity, hence one segment key. The build pass
+    // builds each key once; the second middle epoch is a hit on the
+    // first's insert, at any thread count.
+    ScenarioPlan plan;
+    for (uint64_t t = 0; t < 16; t += 4)
+        plan.epochs.push_back(
+            makeEpoch(Strategy::SurfDeformer, 5, 2, t, 4, {}));
+    ScenarioConfig cfg = deformationScenarioConfig();
+    cfg.maxShotsPerTimeline = 512;
+
+    std::optional<uint64_t> failures;
+    for (bool use_cache : {true, false}) {
+        for (size_t threads : {1u, 4u, 8u}) {
+            cfg.useCache = use_cache;
+            cfg.threads = threads;
+            DeformedCodeCache cache;
+            const TimelineStats tl =
+                runPlannedTimeline(plan, cfg, cache, cfg.seed, 0);
+            ASSERT_EQ(tl.epochs.size(), 4u);
+            if (!failures)
+                failures = tl.failures;
+            EXPECT_EQ(tl.failures, *failures)
+                << "cache=" << use_cache << " threads=" << threads;
+            if (!use_cache) {
+                EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+                continue;
+            }
+            // 1 timeline + 3 unique segment keys; 1 duplicate.
+            EXPECT_EQ(cache.misses(), 4u) << "threads=" << threads;
+            EXPECT_EQ(cache.hits(), 1u) << "threads=" << threads;
+            EXPECT_EQ(cache.size(), 4u);
+        }
+    }
+}
+
 TEST(ScenarioEngine, SharedCacheReusesStitchedTimelinesAndSegments)
 {
     const ScenarioPlan plan = strikePlan(5, 2, 9, 17, 27, {5, 5}, 2);
@@ -395,35 +472,45 @@ TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
 {
     // Eviction priority is (clock at last use + measured build seconds):
     // with a full cache, the cheap-to-rebuild entry goes first even if
-    // the expensive one is older.
-    auto segment = [](double build_seconds) {
-        return [build_seconds] {
-            const auto t0 = std::chrono::steady_clock::now();
-            while (std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count() < build_seconds) {
-            }
-            return CachedSegment{};
+    // the expensive one is older. A segment built elsewhere (a pool
+    // worker) and handed over prebuilt carries its measured cost the
+    // same way.
+    for (bool prebuilt : {false, true}) {
+        DeformedCodeCache cache;
+        auto get = [&](const std::string &key, double build_seconds) {
+            if (prebuilt)
+                return cache.get(key, std::make_shared<const CachedSegment>(),
+                                 build_seconds);
+            return cache.get(key, [build_seconds] {
+                const auto t0 = std::chrono::steady_clock::now();
+                while (std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count() < build_seconds) {
+                }
+                return CachedSegment{};
+            });
         };
-    };
-    DeformedCodeCache cache;
-    cache.setBudget(0, 2);
-    cache.get("expensive", segment(0.05));
-    cache.get("cheap", segment(0.0));
-    EXPECT_EQ(cache.size(), 2u);
-    cache.get("new", segment(0.0));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.misses(), 3u);
-    cache.get("expensive", segment(0.05));
-    EXPECT_EQ(cache.hits(), 1u) << "the expensive entry was evicted";
-    cache.get("cheap", segment(0.0));
-    EXPECT_EQ(cache.misses(), 4u) << "the cheap entry should have gone";
+        cache.setBudget(0, 2);
+        get("expensive", 0.05);
+        get("cheap", 0.0);
+        EXPECT_EQ(cache.size(), 2u);
+        EXPECT_GE(cache.buildSeconds(), 0.05);
+        get("new", 0.0);
+        EXPECT_EQ(cache.size(), 2u);
+        EXPECT_EQ(cache.evictions(), 1u);
+        EXPECT_EQ(cache.misses(), 3u);
+        get("expensive", 0.05);
+        EXPECT_EQ(cache.hits(), 1u)
+            << "the expensive entry was evicted, prebuilt=" << prebuilt;
+        get("cheap", 0.0);
+        EXPECT_EQ(cache.misses(), 4u)
+            << "the cheap entry should have gone, prebuilt=" << prebuilt;
 
-    // Byte budgets evict too; an impossible budget empties the cache.
-    cache.setBudget(1, 0);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.bytesUsed(), 0u);
+        // Byte budgets evict too; an impossible budget empties the cache.
+        cache.setBudget(1, 0);
+        EXPECT_EQ(cache.size(), 0u);
+        EXPECT_EQ(cache.bytesUsed(), 0u);
+    }
 }
 
 TEST(EpochPlanner, ConstantWindowsMergeAndCapsSplit)
