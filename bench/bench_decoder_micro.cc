@@ -1,23 +1,22 @@
 /**
  * @file
- * Decoder-backend micro-bench. All three backends build the same
- * O(edges) decoding graph and solve on the same sparse blossom; they
- * differ in where the candidate pairs come from: exact memoized rows
- * (Dense), radius-bounded rows with the K-nearest mask and burst
- * dispatch (Sparse, the default), or bounded ball growth (the
- * matrix-free SparseBlossom). Measures the cold path every new
- * deformed-patch shape pays — decoding-graph construction — steady-state
- * decode throughput per backend, and burst-syndrome throughput
- * (shots/sec vs fired-defect count, the Q3DE-style cosmic-ray regime
- * the matrix-free matcher is built for). Emits BENCH_decoder.json.
+ * Decoder-backend micro-bench. Both backends build the same O(edges)
+ * decoding graph, read memoized rows and solve on the same sparse
+ * blossom; they differ in which pairs they offer: exact full-graph rows
+ * (Dense), or radius-bounded rows with the K-nearest mask below the
+ * burst threshold (Sparse, the default). Measures the cold path every
+ * new deformed-patch shape pays — decoding-graph construction —
+ * steady-state decode throughput per backend, and burst-syndrome
+ * throughput (shots/sec vs fired-defect count, the Q3DE-style
+ * cosmic-ray regime). Emits BENCH_decoder.json.
  *
  * Flags: --scale=S (shot budget), --dmax=N (default 13), --dburst=N
  * (default 11, burst-section distance), --json=DIR.
- * Exits non-zero unless exact rows (Dense) and the matrix-free matcher
- * report equal matched weight (MwpmScratch::lastWeight) on every
- * sampled and every burst shot, so CI smoke runs double as the
- * cross-backend gate. The default config's agreement rate with exact
- * rows is reported too — its K-nearest mask may differ on rare shots.
+ * Exits non-zero unless Dense and the default Sparse decoder report
+ * equal matched weight (MwpmScratch::lastWeight) on every sampled and
+ * every burst shot, so CI smoke runs double as the cross-backend gate.
+ * The default's prediction agreement rate with exact rows is reported
+ * too — equal-weight matchings may differ in parity.
  */
 
 #include <chrono>
@@ -58,12 +57,10 @@ main(int argc, char **argv)
     const int build_reps = 5;
     JsonReport report(argc, argv, "decoder");
 
-    header("MWPM backends: exact rows vs default rows vs matrix-free "
-           "matcher");
+    header("MWPM backends: exact rows vs default rows");
     std::printf("%zu shots per distance, %d build reps, p=2e-3\n\n", shots,
                 build_reps);
-    std::printf("  d    nodes       build   exact sh/s  default sh/s"
-                "  blossom sh/s\n");
+    std::printf("  d    nodes       build   exact sh/s  default sh/s\n");
 
     bool weights_equal = true;
     for (int d = 3; d <= dmax; d += 2) {
@@ -84,11 +81,9 @@ main(int argc, char **argv)
 
         const MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Dense);
         const MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
-        const MwpmDecoder blossom(dem, 1, nullptr,
-                                  MatchingBackend::SparseBlossom);
         FrameSimulator sim(built.circuit, shots, 20240731);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-        MwpmScratch se, sd, sb;
+        MwpmScratch se, sd;
 
         std::vector<uint8_t> exact_pred(shots);
         std::vector<int64_t> exact_weight(shots);
@@ -99,29 +94,22 @@ main(int argc, char **argv)
             exact_weight[i] = se.lastWeight;
         }
         const double exact_decode = secondsSince(t0);
-        size_t default_disagree = 0;
+        size_t default_disagree = 0, weight_mismatch = 0;
         t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i)
+        for (size_t i = 0; i < shots; ++i) {
             default_disagree +=
                 exact_pred[i] !=
                 sparse.decode(syndromes.data(i), syndromes.count(i), sd);
-        const double default_decode = secondsSince(t0);
-        size_t weight_mismatch = 0;
-        t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i) {
-            (void)blossom.decode(syndromes.data(i), syndromes.count(i), sb);
-            weight_mismatch += sb.lastWeight != exact_weight[i];
+            weight_mismatch += sd.lastWeight != exact_weight[i];
         }
-        const double blossom_decode = secondsSince(t0);
+        const double default_decode = secondsSince(t0);
         if (weight_mismatch)
             weights_equal = false;
 
         const size_t nodes = exact.graph().numNodes();
-        std::printf("%3d  %7zu  %7.4f ms  %11.0f  %12.0f  %12.0f%s\n", d,
-                    nodes, 1e3 * build,
-                    shots / std::max(1e-9, exact_decode),
+        std::printf("%3d  %7zu  %7.4f ms  %11.0f  %12.0f%s\n", d, nodes,
+                    1e3 * build, shots / std::max(1e-9, exact_decode),
                     shots / std::max(1e-9, default_decode),
-                    shots / std::max(1e-9, blossom_decode),
                     weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "");
 
         const std::string suffix = "_d" + std::to_string(d);
@@ -130,8 +118,6 @@ main(int argc, char **argv)
                       shots / std::max(1e-9, exact_decode));
         report.metric("decode_shots_per_sec_sparse" + suffix,
                       shots / std::max(1e-9, default_decode));
-        report.metric("decode_shots_per_sec_blossom" + suffix,
-                      shots / std::max(1e-9, blossom_decode));
         report.metric("weight_mismatches" + suffix,
                       static_cast<double>(weight_mismatch));
         report.metric("default_agreement_rate" + suffix,
@@ -139,10 +125,10 @@ main(int argc, char **argv)
     }
     // ---- Burst syndromes: decode throughput vs fired-defect count ----
     // The regime Surf-Deformer's dynamic-defect scenarios produce:
-    // cosmic-ray events fire large contiguous detector clusters. The
-    // rows paths build (memoized) Dijkstra rows per defect and solve the
-    // pairs they witness; the matrix-free matcher grows bounded balls
-    // and solves the pairs they discover.
+    // cosmic-ray events fire large contiguous detector clusters. Both
+    // backends build (memoized) Dijkstra rows per defect and solve the
+    // pairs they witness; the default's bounded rows stop at twice the
+    // boundary distance.
     const int dburst = static_cast<int>(flagValue(argc, argv, "dburst", 11));
     bool burst_weights_equal = true;
     {
@@ -154,17 +140,13 @@ main(int argc, char **argv)
             buildMemoryCircuit(squarePatch(dburst), spec, noise);
         const auto dem = buildDem(built.circuit, PauliType::Z);
         const MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Dense);
-        MwpmDecoder rows(dem, 1, nullptr, MatchingBackend::Sparse);
-        rows.setBlossomThreshold(SIZE_MAX); // pin the default rows path
-        const MwpmDecoder blossom(dem, 1, nullptr,
-                                  MatchingBackend::SparseBlossom);
+        const MwpmDecoder rows(dem, 1, nullptr, MatchingBackend::Sparse);
         std::printf("\nburst syndromes at d=%d (cluster-fired detectors; "
-                    "exact-vs-blossom weight gate on every shot):\n",
+                    "exact-vs-default weight gate on every shot):\n",
                     dburst);
-        std::printf("    k    exact sh/s     rows sh/s  blossom sh/s"
-                    "   vs exact   vs rows\n");
+        std::printf("    k    exact sh/s  default sh/s   vs exact\n");
         Rng rng(0xbadbeef);
-        MwpmScratch se, sr, sb;
+        MwpmScratch se, sr;
         for (const size_t kk : {8u, 16u, 32u, 64u, 128u}) {
             const size_t reps = std::max<size_t>(
                 4, static_cast<size_t>(s * 4096 / kk));
@@ -180,45 +162,33 @@ main(int argc, char **argv)
                 exact_weight[r] = se.lastWeight;
             }
             const double t_exact = secondsSince(t0);
-            t0 = std::chrono::steady_clock::now();
-            for (const auto &b : bursts)
-                (void)rows.decode(b.data(), b.size(), sr);
-            const double t_rows = secondsSince(t0);
             size_t weight_mismatch = 0;
             t0 = std::chrono::steady_clock::now();
             for (size_t r = 0; r < reps; ++r) {
-                (void)blossom.decode(bursts[r].data(), bursts[r].size(), sb);
-                weight_mismatch += sb.lastWeight != exact_weight[r];
+                (void)rows.decode(bursts[r].data(), bursts[r].size(), sr);
+                weight_mismatch += sr.lastWeight != exact_weight[r];
             }
-            const double t_blossom = secondsSince(t0);
+            const double t_rows = secondsSince(t0);
             if (weight_mismatch)
                 burst_weights_equal = false;
             const double sps_exact = reps / std::max(1e-9, t_exact);
             const double sps_rows = reps / std::max(1e-9, t_rows);
-            const double sps_blossom = reps / std::max(1e-9, t_blossom);
-            std::printf("  %3zu  %10.0f    %10.0f    %10.0f   %7.2fx  "
-                        "%7.2fx%s\n",
-                        kk, sps_exact, sps_rows, sps_blossom,
-                        sps_blossom / std::max(1e-9, sps_exact),
-                        sps_blossom / std::max(1e-9, sps_rows),
+            std::printf("  %3zu  %10.0f    %10.0f   %7.2fx%s\n", kk,
+                        sps_exact, sps_rows,
+                        sps_rows / std::max(1e-9, sps_exact),
                         weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "");
             const std::string suffix = "_k" + std::to_string(kk);
             report.metric("burst_shots_per_sec_exact" + suffix, sps_exact);
             report.metric("burst_shots_per_sec_rows" + suffix, sps_rows);
-            report.metric("burst_shots_per_sec_blossom" + suffix,
-                          sps_blossom);
-            report.metric("burst_blossom_vs_rows" + suffix,
-                          sps_blossom / std::max(1e-9, sps_rows));
             report.metric("burst_weight_mismatches" + suffix,
                           static_cast<double>(weight_mismatch));
         }
 
         // ---- Row budget: resident row memory with and without a cap.
-        // The rows decoder above memoized full-graph rows for every
+        // The default decoder above memoized a bounded row for every
         // defect the bursts touched; a budgeted decoder replays the
         // same load under an LRU cap.
         MwpmDecoder budgeted(dem, 1, nullptr, MatchingBackend::Sparse);
-        budgeted.setBlossomThreshold(SIZE_MAX);
         budgeted.setRowBudget(64);
         {
             Rng rng2(0xbadbeef);
@@ -254,10 +224,10 @@ main(int argc, char **argv)
     const bool ok = weights_equal && burst_weights_equal;
     report.metric("weights_equal", weights_equal ? 1.0 : 0.0);
     report.metric("burst_weights_equal", burst_weights_equal ? 1.0 : 0.0);
-    std::printf("\nmatcher weight-equal to exact rows on every sampled "
+    std::printf("\ndefault weight-equal to exact rows on every sampled "
                 "shot: %s\n",
                 weights_equal ? "yes" : "NO (BUG)");
-    std::printf("matcher weight-equal to exact rows on every burst shot: "
+    std::printf("default weight-equal to exact rows on every burst shot: "
                 "%s\n",
                 burst_weights_equal ? "yes" : "NO (BUG)");
     return ok ? 0 : 1;

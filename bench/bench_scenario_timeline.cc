@@ -209,7 +209,7 @@ main(int argc, char **argv)
 
     // Robustness pass: the same workload under a soft decode deadline and
     // a deterministic fault plan. Stalls force trips down the fallback
-    // ladder (blossom -> rows -> union-find), storms hammer the cache,
+    // ladder (rows -> union-find), storms hammer the cache,
     // bursts adversarially thicken syndromes; the run must still complete
     // every shot, and the ledger prices the degradation.
     header("Robustness: deadline-aware decoding under injected faults");

@@ -14,8 +14,8 @@
  *  deadline_ns=0 i.e. no per-shot decode budget, persistence off,
  *  fabrication rates 0 i.e. a pristine chip)
  *
- * Passing a deadline_ns arms the staged fallback ladder (sparse-blossom
- * -> memoized rows -> union-find) and prints the degradation ledger at
+ * Passing a deadline_ns arms the staged fallback ladder (memoized rows
+ * -> union-find) and prints the degradation ledger at
  * the end; setting SURF_FAULT_PLAN (e.g. "seed=3;stall.p=0.3") injects
  * deterministic decoder stalls to force it. Passing a persist_dir (or
  * setting SURF_PERSIST_DIR) snapshots the deformed-code cache there, so

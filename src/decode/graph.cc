@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/logging.hh"
+#include "util/status.hh"
 
 namespace surf {
 
@@ -24,6 +25,12 @@ DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
                              MatchingBackend backend)
     : backend_(backend), tag_(tag)
 {
+    if (backend != MatchingBackend::Dense &&
+        backend != MatchingBackend::Sparse)
+        throw StatusError(Status::invalidArgument(
+            "MatchingBackend " +
+            std::to_string(static_cast<int>(backend)) +
+            " is not a live backend (Dense or Sparse)"));
     local_of_.assign(dem.numDetectors, -1);
     for (uint32_t d = 0; d < dem.numDetectors; ++d) {
         if (dem.detectorTag[d] == tag) {
@@ -90,11 +97,6 @@ DecodingGraph::memoryBytes() const
 {
     const size_t row_bytes =
         (numNodes() + 1) * (sizeof(float) + 1) + sizeof(Row);
-    size_t retired;
-    {
-        std::lock_guard<std::mutex> lock(evict_mutex_);
-        retired = retired_.size();
-    }
     return global_of_.capacity() * sizeof(uint32_t) +
            local_of_.capacity() * sizeof(int) +
            csr_off_.capacity() * sizeof(uint32_t) +
@@ -102,8 +104,7 @@ DecodingGraph::memoryBytes() const
            csr_w_.capacity() * sizeof(double) + csr_obs_.capacity() +
            rows_.size() * (sizeof(rows_[0]) + sizeof(fast_rows_[0]) +
                            sizeof(row_stamp_[0])) +
-           (rows_resident_.load(std::memory_order_relaxed) + retired) *
-               row_bytes;
+           rows_resident_.load(std::memory_order_relaxed) * row_bytes;
 }
 
 void
@@ -152,12 +153,13 @@ DecodingGraph::enforceRowBudget() const
 }
 
 DecodingGraph::Row *
-DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
+DecodingGraph::buildRow(int src, DijkstraScratch &sc) const
 {
     // Pairs whose true distance sits within the quantization margin of
     // the radius bound must stay inside a bounded row, because an
-    // integer-tied edge can still appear in an optimal matching.
-    constexpr double kTieMargin = kWeightTieMargin;
+    // integer-tied edge can still appear in an optimal matching
+    // (matching weights tie at 1/1024 granularity, match_weights.hh).
+    constexpr double kTieMargin = 8.0 / 1024.0;
     const size_t n = numNodes() + 1;
     auto *row = new Row;
     row->dist.assign(n, std::numeric_limits<float>::infinity());
@@ -169,6 +171,7 @@ DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
         sc.cur = 1;
     }
     const int bnode = boundaryNode();
+    const bool exact = backend_ == MatchingBackend::Dense;
     using Item = std::pair<double, int>;
     const auto by_dist = std::greater<Item>();
     auto &heap = sc.heap;
@@ -210,21 +213,18 @@ DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
 }
 
 std::shared_ptr<const DecodingGraph::Row>
-DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
+DecodingGraph::row(int src, DijkstraScratch &sc) const
 {
     SURF_ASSERT(static_cast<size_t>(src) < rows_.size(),
                 "row queries are a defect-node facility");
     auto &slot = rows_[static_cast<size_t>(src)];
-    // Unbudgeted graphs (the default) never evict, so warm hits read a
-    // raw mirror pointer with no refcount traffic and return a
-    // non-owning handle — the same lock-free fast path the raw-pointer
-    // design had. Rows displaced by exactness upgrades are retired (not
-    // freed) to keep those non-owning readers safe.
+    // Unbudgeted graphs (the default) never evict or replace a row, so
+    // warm hits read a raw mirror pointer with no refcount traffic and
+    // return a non-owning handle — the same lock-free fast path the
+    // raw-pointer design had.
     if (!row_budget_ever_.load(std::memory_order_acquire)) {
-        const Row *fast =
-            fast_rows_[static_cast<size_t>(src)].load(
-                std::memory_order_acquire);
-        if (fast && (!exact || fast->radius == kInf))
+        if (const Row *fast = fast_rows_[static_cast<size_t>(src)].load(
+                std::memory_order_acquire))
             return {std::shared_ptr<const void>(), fast};
     }
     // LRU stamps only matter when a budget can evict; the unbudgeted
@@ -237,39 +237,26 @@ DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
                 std::memory_order_relaxed);
     };
     std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
-    if (cur && (!exact || cur->radius == kInf)) {
+    if (cur) {
         touch();
         return cur;
     }
-    std::shared_ptr<const Row> fresh{buildRow(src, exact, sc)};
-    for (;;) {
-        if (slot.compare_exchange_strong(cur, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-            rows_built_.fetch_add(1, std::memory_order_relaxed);
-            if (!cur) {
-                rows_resident_.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                // Upgrade over a truncated row: non-owning fast-path
-                // readers may still hold it, so it lives with the graph.
-                std::lock_guard<std::mutex> lock(evict_mutex_);
-                retired_.push_back(std::move(cur));
-            }
-            fast_rows_[static_cast<size_t>(src)].store(
-                fresh.get(), std::memory_order_release);
-            touch();
-            if (row_budget_ &&
-                rows_resident_.load(std::memory_order_relaxed) >
-                    row_budget_)
-                enforceRowBudget();
-            return fresh;
-        }
-        // Lost the race; `cur` now holds the winner.
-        if (cur && (!exact || cur->radius == kInf)) {
-            touch();
-            return cur;
-        }
+    std::shared_ptr<const Row> fresh{buildRow(src, sc)};
+    if (!slot.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        // Lost the race; `cur` now holds the winner (same values).
+        touch();
+        return cur;
     }
+    rows_built_.fetch_add(1, std::memory_order_relaxed);
+    rows_resident_.fetch_add(1, std::memory_order_relaxed);
+    fast_rows_[static_cast<size_t>(src)].store(fresh.get(),
+                                               std::memory_order_release);
+    touch();
+    if (row_budget_ &&
+        rows_resident_.load(std::memory_order_relaxed) > row_budget_)
+        enforceRowBudget();
+    return fresh;
 }
 
 uint64_t

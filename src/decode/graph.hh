@@ -2,25 +2,22 @@
  * @file
  * Matching graph for one CSS basis: detector nodes plus a virtual
  * boundary node with edge weights w = log((1-p)/p), stored as a CSR
- * adjacency. Construction is O(edges) for every backend; there is no
- * precompute. Shortest-path questions are answered on demand:
+ * adjacency. Construction is O(edges); there is no precompute.
+ * Shortest-path questions are answered by memoized rows: one lazy
+ * Dijkstra row per fired defect node, built by whichever decode worker
+ * first needs it and shared lock-free afterwards, using caller-owned
+ * epoch-stamped scratch state (reset is O(1), steady state allocates
+ * nothing).
  *
- *  - memoized rows (Sparse and Dense backends): one lazy Dijkstra row
- *    per fired defect node, radius-bounded for Sparse and full-graph
- *    ("exact") for Dense, built by whichever decode worker first needs
- *    it and shared lock-free afterwards, using caller-owned
- *    epoch-stamped scratch state (reset is O(1), steady state
- *    allocates nothing);
- *  - the SparseBlossom backend reads the CSR arrays directly and keeps
- *    no rows.
- *
- * row() is the only way a row enters the graph: the cache snapshot
- * stores the DEM and the CSR digest, not rows, so a restored graph
- * starts empty and rebuilds its rows on demand like a cold one.
+ * One row policy per graph, fixed by its backend: Dense rows cover the
+ * full graph ("exact"), Sparse rows are radius-bounded. row() is the
+ * only way a row enters the graph: the cache snapshot stores the DEM
+ * and the CSR digest, not rows, so a restored graph starts empty and
+ * rebuilds its rows on demand like a cold one.
  *
  * Every row comes out of one Dijkstra kernel (fixed relaxation order,
  * epsilon and float rounding), so a row's entries are pure functions of
- * its source and radius policy.
+ * its source and the graph's backend.
  */
 
 #ifndef SURF_DECODE_GRAPH_HH
@@ -38,26 +35,24 @@
 
 namespace surf {
 
-/** Candidate-pair source of the MWPM decoder (see mwpm.hh). All three
- *  solve through the same sparse blossom. */
+/** Candidate-pair policy of the MWPM decoder (see mwpm.hh). Both live
+ *  backends read memoized rows and solve through the same sparse
+ *  blossom. */
 enum class MatchingBackend : uint8_t
 {
     /** Exact rows: full-graph rows, every finite pair offered, no
-     *  K-nearest mask and no burst dispatch (Sparse at truncation
-     *  SIZE_MAX). */
+     *  K-nearest mask. */
     Dense,
-    /** Radius-bounded rows with the K-nearest mask; burst shots are
-     *  dispatched to the matrix-free matcher. */
+    /** Radius-bounded rows, with the K-nearest mask below the burst
+     *  threshold. */
     Sparse,
-    /** Matrix-free sparse blossom (see sparse_blossom.hh): per-shot
-     *  bounded ball growth on the CSR adjacency; no rows. */
+    /** Retired (the matrix-free matcher left the library): scenario
+     *  validation rejects it, DecodingGraph throws StatusError for it
+     *  and cache snapshots naming it are rejected. The enumerator stays
+     *  only until perfbench's traced engine mirror, which still names
+     *  it, is deleted. */
     SparseBlossom,
 };
-
-/** Quantized matching weights tie at 1/1024 granularity; radius-bounded
- *  searches keep this margin so integer-tied pairs stay inside bounded
- *  rows and balls (shared by the row builder and the sparse blossom). */
-inline constexpr double kWeightTieMargin = 8.0 / 1024.0;
 
 /**
  * Caller-owned state for on-demand Dijkstra queries. Arrays are
@@ -94,8 +89,10 @@ class DecodingGraph
   public:
     /**
      * @param tag 0 = X-check detectors, 1 = Z-check detectors
-     * @param backend recorded for the decoder and snapshot identity; the
-     *                graph itself is the same for every backend
+     * @param backend row policy (Dense: full-graph rows, Sparse:
+     *                radius-bounded), also recorded for snapshot
+     *                identity; throws StatusError (INVALID_ARGUMENT) for
+     *                the retired SparseBlossom
      */
     DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
                   MatchingBackend backend = MatchingBackend::Sparse);
@@ -111,8 +108,7 @@ class DecodingGraph
     uint8_t tag() const { return tag_; }
 
     /** Read-only CSR adjacency over numNodes()+1 nodes (last = the
-     *  boundary), in DEM edge order — the shared relaxation order. The
-     *  matrix-free matcher walks these directly. */
+     *  boundary), in DEM edge order — the shared relaxation order. */
     const std::vector<uint32_t> &csrOffsets() const { return csr_off_; }
     const std::vector<int> &csrTargets() const { return csr_to_; }
     const std::vector<double> &csrWeights() const { return csr_w_; }
@@ -142,22 +138,21 @@ class DecodingGraph
      * table-lookup speed, while a shape that is decoded once only ever
      * pays for the rows its own defects touch.
      *
-     * When `exact`, the row covers the full graph. Otherwise the row
-     * is truncated at radius 2 * d(src, boundary): for any defect pair
-     * (i, j), max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), so every pair
-     * that could appear in a minimum-weight perfect matching (farther
-     * pairs lose to matching both ends into the boundary) is present in
-     * at least one of its endpoints' rows.
+     * On a Dense graph the row covers the full graph. On a Sparse
+     * graph it is truncated at radius 2 * d(src, boundary): for any
+     * defect pair (i, j), max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), so
+     * every pair that could appear in a minimum-weight perfect matching
+     * (farther pairs lose to matching both ends into the boundary) is
+     * present in at least one of its endpoints' rows.
      *
      * Concurrent builders may race; the first publication wins and the
      * values are identical either way, so results never depend on the
      * winner. The returned shared_ptr keeps the row alive for the
      * caller even if the row budget evicts it mid-shot; rows are pure
-     * functions of (src, exact), so eviction and rebuild can never
+     * functions of their source, so eviction and rebuild can never
      * change results, only cost.
      */
-    std::shared_ptr<const Row> row(int src, bool exact,
-                                   DijkstraScratch &sc) const;
+    std::shared_ptr<const Row> row(int src, DijkstraScratch &sc) const;
 
     /**
      * Bound the memoized row pool: at most `max_rows` rows stay
@@ -182,8 +177,8 @@ class DecodingGraph
         return rows_resident_.load(std::memory_order_relaxed);
     }
 
-    /** Total rows built over the graph's lifetime (diagnostics; counts
-     *  rebuilds after eviction and exactness upgrades). */
+    /** Total rows published over the graph's lifetime (diagnostics;
+     *  counts rebuilds after eviction). */
     size_t rowsBuilt() const
     {
         return rows_built_.load(std::memory_order_relaxed);
@@ -208,12 +203,12 @@ class DecodingGraph
     /**
      * The one Dijkstra kernel behind every row: fixed relaxation order
      * (CSR neighbour order), tie epsilon and float rounding. Every
-     * settled node is written into the new row. It explores freely
-     * until the boundary settles, then caps the radius at
-     * 2 * d(src, boundary) plus a quantized-tie margin (infinite when
-     * `exact`).
+     * settled node is written into the new row. On a Sparse graph it
+     * explores freely until the boundary settles, then caps the radius
+     * at 2 * d(src, boundary) plus a quantized-tie margin; on a Dense
+     * graph the radius stays infinite.
      */
-    Row *buildRow(int src, bool exact, DijkstraScratch &sc) const;
+    Row *buildRow(int src, DijkstraScratch &sc) const;
 
     MatchingBackend backend_;
     uint8_t tag_ = 0;
@@ -232,11 +227,10 @@ class DecodingGraph
     // Lazily built, immutable-once-published rows.
     // Slots are atomic shared_ptrs so the budget can evict concurrently
     // with readers; per-slot use stamps drive the LRU choice. While no
-    // budget has ever been set (the default), readers take a lock-free
-    // raw-pointer fast path instead (fast_rows_ mirrors the slots, and
-    // rows displaced by exactness upgrades are retired, not freed, so
-    // non-owning readers stay safe); the first setRowBudget permanently
-    // switches readers to owned handles.
+    // budget has ever been set (the default), a published row is never
+    // replaced or freed before the graph, so readers take a lock-free
+    // raw-pointer fast path instead (fast_rows_ mirrors the slots); the
+    // first setRowBudget permanently switches readers to owned handles.
     mutable std::vector<std::atomic<std::shared_ptr<const Row>>> rows_;
     mutable std::vector<std::atomic<const Row *>> fast_rows_;
     mutable std::vector<std::atomic<uint64_t>> row_stamp_;
@@ -246,7 +240,6 @@ class DecodingGraph
     std::atomic<size_t> row_budget_{0};      ///< 0 = unbounded
     std::atomic<bool> row_budget_ever_{false};
     mutable std::mutex evict_mutex_;
-    mutable std::vector<std::shared_ptr<const Row>> retired_;
 };
 
 } // namespace surf

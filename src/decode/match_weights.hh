@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared integer weight construction of the MWPM decode paths. Every
- * backend (exact rows, default rows, matrix-free sparse blossom) builds
- * its matching instance through these helpers, which is what makes
+ * backend (exact rows, default rows) and the test-side oracle build
+ * their matching instances through these helpers, which is what makes
  * their results comparable shot for shot:
  *
  *  - distances are quantized at 1/1024 (llround(w * 1024)), so total

@@ -20,65 +20,30 @@ MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
         if (l >= 0)
             defects.push_back(l);
     }
-    // Both paths rely on ascending defect node ids (the rows path's
-    // lower-id witness, the matcher's binary-searched landing
-    // collisions). Sorted fired lists (the simulator's CSR output) pass
-    // the check for free; arbitrary callers get sorted here.
+    // The rows path relies on ascending defect node ids (the lower-id
+    // witness of a pair). Sorted fired lists (the simulator's CSR
+    // output) pass the check for free; arbitrary callers get sorted here.
     if (!std::is_sorted(defects.begin(), defects.end()))
         std::sort(defects.begin(), defects.end());
     scratch.lastWeight = 0;
     scratch.timedOut = false;
-    if (scratch.deadline != nullptr && scratch.deadline->armed())
-        // Even empty shots clear the trace, so a caller that records the
-        // ladder per decode never re-reads a previous shot's trip.
-        scratch.ladder.reset();
+    DecodeDeadline *dl = scratch.deadline;
+    if (dl == nullptr || !dl->armed())
+        return !defects.empty() && decodeRows(scratch);
+    // Ladder stage one, the rows MWPM under the soft budget. Even empty
+    // shots clear the trace, so a caller that records the ladder per
+    // decode never re-reads a previous shot's trip.
+    scratch.ladder.reset();
     if (defects.empty())
         return false;
-    if (scratch.deadline != nullptr && scratch.deadline->armed())
-        return decodeLadder(scratch);
-    // Burst dispatch: past the threshold the matrix-free matcher avoids
-    // building a full row per defect.
-    if (burst(defects.size()))
-        return sparseBlossomDecode(graph_, defects, scratch.blossom,
-                                   &scratch.lastWeight);
-    return decodeRows(scratch);
-}
-
-bool
-MwpmDecoder::decodeLadder(MwpmScratch &sc) const
-{
-    DecodeDeadline &dl = *sc.deadline;
-    sc.ladder.reset();
-
-    // Stage 1 — matrix-free sparse blossom, for the shots that would
-    // use it anyway (SparseBlossom backend, or Sparse past the burst
-    // threshold). Non-burst shots skip straight to the rows stage: the
-    // matcher is slower there and a downgrade must never be one.
-    if (burst(sc.defects.size())) {
-        dl.beginStage(sc.stallNs[kStageBlossom]);
-        bool timed_out = false;
-        const bool obs =
-            sparseBlossomDecode(graph_, sc.defects, sc.blossom,
-                                &sc.lastWeight, &dl, &timed_out);
-        sc.ladder.note(kStageBlossom, dl.stageElapsedNs(), timed_out);
-        if (!timed_out) {
-            sc.ladder.answer = kStageBlossom;
-            return obs;
-        }
-        sc.lastWeight = 0; // abandoned stage: discard partial weight
-    }
-
-    // Stage 2 — memoized-rows MWPM under its own fresh budget.
-    dl.beginStage(sc.stallNs[kStageRows]);
-    const bool obs = decodeRows(sc);
-    sc.ladder.note(kStageRows, dl.stageElapsedNs(), sc.timedOut);
-    if (!sc.timedOut) {
-        sc.ladder.answer = kStageRows;
-        return obs;
-    }
-    // Stage 3 (union-find) lives with the caller: sc.timedOut tells it
-    // to discard this answer and run its floor decoder.
-    sc.lastWeight = 0;
+    dl->beginStage(scratch.stallNs);
+    const bool obs = decodeRows(scratch);
+    scratch.ladder.note(kStageRows, dl->stageElapsedNs(), scratch.timedOut);
+    // On a timeout the union-find stage lives with the caller:
+    // scratch.timedOut tells it to discard this answer and run its floor
+    // decoder.
+    if (scratch.timedOut)
+        scratch.lastWeight = 0;
     return obs;
 }
 
@@ -88,7 +53,6 @@ MwpmDecoder::decodeRows(MwpmScratch &sc) const
     const auto &defects = sc.defects; // ascending local node ids
     const int k = static_cast<int>(defects.size());
     const int bnode = graph_.boundaryNode();
-    const bool exact = exactRows();
     // Cooperative deadline poll (no-op with a null/disarmed deadline):
     // row construction and the matching solve are the two unbounded
     // work chunks of this path, so the budget is checked before each
@@ -106,8 +70,8 @@ MwpmDecoder::decodeRows(MwpmScratch &sc) const
     for (int i = 0; i < k; ++i) {
         if (outOfTime())
             return false;
-        sc.rows.push_back(graph_.row(defects[static_cast<size_t>(i)],
-                                     exact, sc.dijkstra));
+        sc.rows.push_back(
+            graph_.row(defects[static_cast<size_t>(i)], sc.dijkstra));
     }
     auto rowOf = [&sc](int i) -> const DecodingGraph::Row & {
         return *sc.rows[static_cast<size_t>(i)];
@@ -162,13 +126,14 @@ MwpmDecoder::decodeRows(MwpmScratch &sc) const
         return (b0.par ^ b1.par) != 0;
     }
 
-    // K-nearest truncation (PyMatching-style): when the shot has more
-    // than K+1 defects, a pair is offered only if one endpoint is among
-    // the other's K nearest fellow defects. Each defect's K nearest are
-    // the K smallest (distance, slot) keys, so the mask is one limit key
-    // per defect.
-    const bool truncate =
-        !exact && static_cast<size_t>(k - 1) > truncate_k_;
+    // K-nearest truncation (PyMatching-style): when a Sparse shot has
+    // more than K+1 defects but fewer than the burst threshold, a pair
+    // is offered only if one endpoint is among the other's K nearest
+    // fellow defects. Each defect's K nearest are the K smallest
+    // (distance, slot) keys, so the mask is one limit key per defect.
+    const auto ku = static_cast<size_t>(k);
+    const bool truncate = graph_.backend() != MatchingBackend::Dense &&
+                          ku - 1 > truncate_k_ && ku < blossomThreshold();
     if (truncate) {
         sc.nearLimit.assign(static_cast<size_t>(k),
                             {std::numeric_limits<float>::infinity(),

@@ -5,34 +5,31 @@
  * paths of the decoding graph; the predicted observable flip is the XOR
  * of the observable parities along the matched paths.
  *
- * Every solve goes through one exact solver, the sparse blossom's
- * mirrorMatch (sparse_blossom.hh). The three backends (graph.hh) differ
- * only in how they find the candidate pairs they hand it:
+ * There is one candidate source and one solver. Each fired defect
+ * contributes its memoized shortest-path row (DecodingGraph::row):
+ * rows are built lazily by the decode workers, shared lock-free, and
+ * persist with the graph, so a decoder living in the DeformedCodeCache
+ * answers later shots at table-lookup speed while never paying for rows
+ * no defect touches. The candidate pairs are every defect pair a row
+ * witnesses, plus each defect's boundary edge; the sparse blossom's
+ * mirrorMatch (sparse_blossom.hh) solves them. The two backends
+ * (graph.hh) differ only in which pairs they offer:
  *
- *  - Sparse (default) and Dense read them off memoized shortest-path
- *    rows, one per fired defect node (DecodingGraph::row): rows are
- *    built lazily by the decode workers, shared lock-free, and persist
- *    with the graph, so a decoder living in the DeformedCodeCache
- *    answers later shots at table-lookup speed while never paying for
- *    rows no defect touches. The edge list is every defect pair a row
- *    witnesses, plus each defect's boundary edge.
- *  - SparseBlossom grows bounded balls on the CSR adjacency instead
- *    (sparseBlossomDecode); Sparse dispatches burst shots to it too.
+ *  - Dense: full-graph rows, every finite pair offered.
+ *  - Sparse (default): rows are radius-bounded at 2 d(src, B); since
+ *    max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), every pair that could
+ *    appear in a minimum-weight perfect matching (farther pairs lose to
+ *    matching both ends into the boundary) is present in at least one
+ *    endpoint's row, so the returned matching is still minimum-weight.
+ *    Shots with K+1 < k < blossomThreshold() defects additionally keep
+ *    only the pairs in which one endpoint is among the other's K nearest
+ *    fellow defects (the PyMatching-style approximation), with an
+ *    unmasked retry whenever that leaves no perfect matching. Burst
+ *    shots (k >= blossomThreshold()) are matched over every witnessed
+ *    pair.
  *
- * Exactness ladder of the rows path:
- *  - Dense, or Sparse with setTruncation(SIZE_MAX): exact rows — rows
- *    cover the whole graph, every finite pair is offered, no burst
- *    dispatch.
- *  - Sparse default (truncation K): rows are radius-bounded at
- *    2 d(src, B); since max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B),
- *    every pair that could appear in a minimum-weight perfect matching
- *    (farther pairs lose to matching both ends into the boundary) is
- *    present in at least one endpoint's row, so the returned matching
- *    is still minimum-weight. Shots with more than K+1 defects
- *    additionally keep only the pairs in which one endpoint is among the
- *    other's K nearest fellow defects (the PyMatching-style
- *    approximation), with an untruncated retry whenever that leaves no
- *    perfect matching.
+ * Unmasked shots of both backends minimise the same tie-break-perturbed
+ * weights (match_weights.hh), so they pick the same matching.
  */
 
 #ifndef SURF_DECODE_MWPM_HH
@@ -55,31 +52,29 @@ class ThreadPool;
  *  most K+1 defects is matched over every pair its rows witness. */
 inline constexpr size_t kDefaultNearestDefects = 16;
 
-/** Floor of the automatic sparse-blossom dispatch threshold: the Sparse
- *  backend hands a shot to the matrix-free matcher when its defect
- *  count reaches max(kDefaultBlossomDefects, numNodes() / 12). The
- *  density guard is what separates the two regimes on real workloads:
- *  a fired-defect count that is a sizable fraction of the whole graph
- *  only happens for contiguous burst clusters (cosmic-ray events),
- *  while scattered syndromes of any realistic count keep the
- *  memoized-rows path. Override with setBlossomThreshold(). */
+/** Floor of the automatic burst threshold: the Sparse backend matches a
+ *  shot without the K-nearest mask once its defect count reaches
+ *  max(kDefaultBlossomDefects, numNodes() / 12). A fired-defect count
+ *  that is a sizable fraction of the whole graph only happens for
+ *  contiguous burst clusters (cosmic-ray events), whose pairs the mask
+ *  would cut the most. Override with setBlossomThreshold(). */
 inline constexpr size_t kDefaultBlossomDefects = 16;
 
 /**
  * Reusable per-thread decode workspace. The defect list, the row
- * handles, the Dijkstra search state and both matcher arenas keep their
+ * handles, the Dijkstra search state and the matcher arena keep their
  * heap buffers across calls, so a steady-state decode loop performs no
- * allocation here. Epoch-stamped arrays (Dijkstra state, ball covers)
- * reset in O(1). Each worker thread owns one scratch; the decoder itself
- * stays immutable and shareable, and one scratch may serve decoders of
+ * allocation here. The Dijkstra state is epoch-stamped and resets in
+ * O(1). Each worker thread owns one scratch; the decoder itself stays
+ * immutable and shareable, and one scratch may serve decoders of
  * different sizes.
  */
 struct MwpmScratch
 {
     std::vector<int> defects;
 
-    // Rows path: lazy-search state, the shot's row handles and the
-    // K-nearest selection buffers.
+    // Lazy-search state, the shot's row handles and the K-nearest
+    // selection buffers.
     DijkstraScratch dijkstra;
     /** Shared row handles held for the duration of one shot, so a row
      *  budget eviction can never free a row mid-decode. */
@@ -88,30 +83,25 @@ struct MwpmScratch
     /** Per defect: its K-th nearest (distance, slot), the last pair the
      *  K-nearest mask keeps for it. */
     std::vector<std::pair<float, int>> nearLimit;
-    MirrorMatchScratch mirror; ///< the rows path's instance + solver
-
-    // Matrix-free matcher arena (ball growth, candidate hash, blossom
-    // solver); used by the SparseBlossom backend and by burst shots the
-    // Sparse backend dispatches past the blossom threshold.
-    SparseBlossomScratch blossom;
+    MirrorMatchScratch mirror; ///< the shot's instance + solver
 
     /** Total weight of the last decode's matching, in the shared
      *  quantization (sum of llround(w * 1024) over matched pair and
-     *  boundary paths). Exact rows and the matrix-free matcher report
-     *  the same value on every shot — the cross-backend equivalence
-     *  gates compare it directly; the default's K-nearest mask can
-     *  only make it heavier, on rare shots. */
+     *  boundary paths). Unmasked shots report the same value on either
+     *  backend — the cross-backend equivalence gates compare it
+     *  directly; the default's K-nearest mask can only make it heavier,
+     *  on rare shots. */
     int64_t lastWeight = 0;
 
     // --- Soft-deadline ladder (see util/deadline.hh). All default-off:
     // with `deadline` null every cooperative check is one pointer test
     // and decode() is bit-identical to a deadline-free build.
-    /** Non-owning per-shot budget; armed by the engine, polled at
-     *  coarse work boundaries inside the sparse decode paths. */
+    /** Non-owning per-shot budget; armed by the engine, polled before
+     *  each row build and each solve. */
     DecodeDeadline *deadline = nullptr;
-    /** Fault-injected virtual stall charged to each ladder stage at
-     *  stage entry (all zero without a fault plan). */
-    std::array<uint64_t, kNumDecodeStages> stallNs{};
+    /** Fault-injected virtual stall charged to the rows stage at stage
+     *  entry (zero without a fault plan). */
+    uint64_t stallNs = 0;
     /** Trace of the last ladder decode (stages tried, latencies). */
     ShotLadderTrace ladder;
     /** True when the deadline expired before MWPM produced a trusted
@@ -127,7 +117,9 @@ class MwpmDecoder
      * @param pool unused: decoders build in O(edges) with no table
      *             precompute to parallelise (kept for source
      *             compatibility)
-     * @param backend candidate-pair source (see the file comment)
+     * @param backend candidate-pair policy (see the file comment);
+     *             MatchingBackend::SparseBlossom is retired and throws
+     *             StatusError
      */
     MwpmDecoder(const DetectorErrorModel &dem, uint8_t tag,
                 [[maybe_unused]] ThreadPool *pool = nullptr,
@@ -139,20 +131,17 @@ class MwpmDecoder
     const DecodingGraph &graph() const { return graph_; }
     MatchingBackend backend() const { return graph_.backend(); }
 
-    /** Sparse truncation knob: each defect keeps pairs to its K nearest
-     *  fellow defects only, and rows are radius-bounded via boundary
-     *  distances. SIZE_MAX = fully exact: no truncation, no radius
-     *  bound, no burst dispatch — the Dense backend. Ignored by Dense,
-     *  which is always exact. */
+    /** K of the Sparse backend's K-nearest mask, which binds on shots of
+     *  K+1 < k < blossomThreshold() defects. SIZE_MAX = never mask.
+     *  Ignored by Dense, which never masks. */
     void setTruncation(size_t k) { truncate_k_ = k ? k : 1; }
     size_t truncation() const { return truncate_k_; }
 
-    /** Fired-defect count at which Sparse-backend shots go to the
-     *  matrix-free sparse blossom (0 = always, SIZE_MAX = never). The
-     *  default is automatic: max(kDefaultBlossomDefects, nodes / 12) —
-     *  see blossomThreshold() for the resolved value. The SparseBlossom
-     *  backend ignores this and always uses the matcher; Dense never
-     *  dispatches. */
+    /** Fired-defect count from which Sparse-backend shots are matched
+     *  without the K-nearest mask (0 = never mask, SIZE_MAX = mask every
+     *  shot past K+1). The default is automatic:
+     *  max(kDefaultBlossomDefects, nodes / 12) — see blossomThreshold()
+     *  for the resolved value. Ignored by Dense. */
     void
     setBlossomThreshold(size_t k)
     {
@@ -179,37 +168,19 @@ class MwpmDecoder
      * (global); detectors of other tags are ignored. Thread-safe given a
      * per-thread scratch.
      *
-     * When `scratch.deadline` is armed, the shot runs the staged
-     * fallback ladder instead: sparse blossom (burst shots only) →
-     * memoized-rows MWPM, each stage under the soft per-stage budget.
-     * A stage that overruns is abandoned and the next stage tried; if
-     * the rows stage also overruns, the partial answer is returned with
+     * When `scratch.deadline` is armed, the shot runs the first stage of
+     * the fallback ladder (rows → union-find) under the soft budget: if
+     * the rows stage overruns, the partial answer is returned with
      * `scratch.timedOut` set and the caller is expected to downgrade to
-     * its union-find floor.
-     * `scratch.ladder` records stages tried and per-stage latencies.
+     * its union-find floor. `scratch.ladder` records the stages tried
+     * and their latencies.
      * @return predicted observable flip
      */
     bool decode(const uint32_t *fired, size_t n_fired,
                 MwpmScratch &scratch) const;
 
   private:
-    /** Exact rows: Dense, or Sparse at truncation SIZE_MAX. */
-    bool
-    exactRows() const
-    {
-        return graph_.backend() == MatchingBackend::Dense ||
-               truncate_k_ == SIZE_MAX;
-    }
-    /** Whether a shot of k defects goes to the matrix-free matcher. */
-    bool
-    burst(size_t k) const
-    {
-        return graph_.backend() == MatchingBackend::SparseBlossom ||
-               (!exactRows() && k >= blossomThreshold());
-    }
     bool decodeRows(MwpmScratch &scratch) const;
-    /** Deadline-armed path: blossom → rows with per-stage budgets. */
-    bool decodeLadder(MwpmScratch &scratch) const;
 
     DecodingGraph graph_;
     size_t truncate_k_ = kDefaultNearestDefects;

@@ -1,19 +1,12 @@
 #include "decode/sparse_blossom.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
-#include "decode/match_weights.hh"
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace surf {
 
 namespace {
-
-constexpr float kInfF = std::numeric_limits<float>::infinity();
-constexpr double kInfD = std::numeric_limits<double>::infinity();
 
 /**
  * The sparse blossom solver: maximum-weight general matching on an
@@ -673,7 +666,6 @@ sparseMinWeightPerfectMatching(int n,
     for (const SparseMatchEdge &e : edges)
         max_w = std::max(max_w, e.w);
     const int64_t offset = max_w * (n / 2 + 1) + 1;
-    scratch.lastOffset = offset;
     SparseMatcher matcher(n, edges.size(), scratch);
     for (size_t e = 0; e < edges.size(); ++e) {
         SURF_ASSERT(edges[e].a != edges[e].b && edges[e].a >= 0 &&
@@ -718,482 +710,6 @@ mirrorMatch(int k, MirrorMatchScratch &sc)
                 {t, k + t, 2 * sc.boundary[static_cast<size_t>(t)]});
     return sparseMinWeightPerfectMatching(2 * k, sc.edges, sc.matcher,
                                           sc.mate, nullptr);
-}
-
-namespace {
-
-/** Key of an unordered defect-slot pair in the candidate hash. */
-uint64_t
-pairKey(int a, int b)
-{
-    const auto lo = static_cast<uint64_t>(a < b ? a : b);
-    const auto hi = static_cast<uint64_t>(a < b ? b : a);
-    return (lo << 32 | hi) + 1; // +1 so key 0 can mark empty slots
-}
-
-uint64_t
-hashKey(uint64_t k)
-{
-    k ^= k >> 33;
-    k *= 0xff51afd7ed558ccdULL;
-    k ^= k >> 33;
-    return k;
-}
-
-/** Double the candidate hash and reinsert every live entry. */
-void
-growCandTable(SparseBlossomScratch &sc)
-{
-    std::vector<SparseBlossomScratch::Cand> old;
-    old.swap(sc.candTable);
-    sc.candTable.assign(2 * old.size(), {});
-    sc.candSlots.clear();
-    const size_t mask = sc.candTable.size() - 1;
-    for (const auto &c : old) {
-        if (c.key == 0)
-            continue;
-        size_t slot = hashKey(c.key) & mask;
-        while (sc.candTable[slot].key != 0)
-            slot = (slot + 1) & mask;
-        sc.candTable[slot] = c;
-        sc.candSlots.push_back(static_cast<uint32_t>(slot));
-    }
-}
-
-/** Record a candidate pair edge, keeping the best (weight, witness
- *  rank) per pair. Rank prefers the same witnesses the rows path
- *  reads: a ball landing exactly on the lower-id defect's row wins over
- *  the higher-id one, which wins over frontier-crossing candidates. */
-void
-addCandidate(SparseBlossomScratch &sc, int a, int b, double w, uint8_t par,
-             uint8_t rank)
-{
-    if (4 * (sc.candSlots.size() + 1) > 3 * sc.candTable.size())
-        growCandTable(sc);
-    const uint64_t key = pairKey(a, b);
-    const auto wf = static_cast<float>(w);
-    const size_t mask = sc.candTable.size() - 1;
-    size_t slot = hashKey(key) & mask;
-    for (;;) {
-        auto &c = sc.candTable[slot];
-        if (c.key == 0) {
-            c = {key, wf, par, rank};
-            sc.candSlots.push_back(static_cast<uint32_t>(slot));
-            return;
-        }
-        if (c.key == key) {
-            if (wf < c.w || (wf == c.w && rank < c.rank)) {
-                c.w = wf;
-                c.par = par;
-                c.rank = rank;
-            }
-            return;
-        }
-        slot = (slot + 1) & mask;
-    }
-}
-
-const SparseBlossomScratch::Cand *
-findCandidate(const SparseBlossomScratch &sc, int a, int b)
-{
-    const uint64_t key = pairKey(a, b);
-    const size_t mask = sc.candTable.size() - 1;
-    size_t slot = hashKey(key) & mask;
-    for (;;) {
-        const auto &c = sc.candTable[slot];
-        if (c.key == 0)
-            return nullptr;
-        if (c.key == key)
-            return &c;
-        slot = (slot + 1) & mask;
-    }
-}
-
-} // namespace
-
-bool
-sparseBlossomDecode(const DecodingGraph &graph,
-                    const std::vector<int> &defects,
-                    SparseBlossomScratch &sc, int64_t *totalWeight,
-                    const DecodeDeadline *deadline, bool *timedOut)
-{
-    const int k = static_cast<int>(defects.size());
-    if (totalWeight)
-        *totalWeight = 0;
-    if (timedOut)
-        *timedOut = false;
-    if (k == 0)
-        return false;
-    auto outOfTime = [&] {
-        if (deadline == nullptr || !deadline->expired())
-            return false;
-        if (timedOut)
-            *timedOut = true;
-        return true;
-    };
-    if (outOfTime())
-        return false;
-    const size_t n_nodes = graph.numNodes() + 1;
-    const int bnode = graph.boundaryNode();
-    const auto &csr_off = graph.csrOffsets();
-    const auto &csr_to = graph.csrTargets();
-    const auto &csr_w = graph.csrWeights();
-    const auto &csr_obs = graph.csrObsFlips();
-
-    // --- Multi-source ball growth (discovery) -------------------------
-    // One shared heap, globally increasing distance; each fired defect
-    // owns a ball with a certified radius cap (ballCap). Pops beyond a
-    // ball's cap are deferred, not dropped, so the search resumes
-    // exactly where it stopped when a cap is raised. Ball fronts
-    // colliding at shared nodes or across single CSR edges emit
-    // candidate pair edges; the best per pair lives in a small hash,
-    // never a k x k matrix.
-    //
-    // Caps: for k <= 2 a ball grows until its boundary settles (the
-    // proven exact closed-form regime). For k >= 3 growth is adaptive:
-    // balls start with a few settled nodes each, the sparse blossom
-    // solves the discovered instance, and its dual variables certify
-    // optimality — a defect's (symmetrized, min-instance) dual Y_t
-    // bounds how far an undiscovered edge could still matter, so
-    // Y_t <= radius(t) for every defect proves no absent pair or
-    // boundary edge can improve the matching. Failing balls grow to
-    // their dual bound and the loop repeats; typical bursts certify in
-    // one or two rounds with balls a few edges wide, instead of growing
-    // every ball out to its boundary distance.
-    if (sc.coverHead.size() < n_nodes) {
-        sc.coverHead.resize(n_nodes);
-        sc.coverGen.resize(n_nodes, 0);
-    }
-    if (++sc.coverCur == 0) {
-        std::fill(sc.coverGen.begin(), sc.coverGen.end(), 0);
-        sc.coverCur = 1;
-    }
-    const uint32_t gen = sc.coverCur;
-    auto headOf = [&](size_t node) -> int {
-        return sc.coverGen[node] == gen ? sc.coverHead[node] : -1;
-    };
-    sc.coverPool.clear();
-    sc.heap.clear();
-    sc.deferred.clear();
-    sc.ballCap.assign(static_cast<size_t>(k), kInfD);
-    sc.ballSettled.assign(static_cast<size_t>(k), 0);
-    sc.ballLive.assign(static_cast<size_t>(k), 1);
-    sc.bDist.assign(static_cast<size_t>(k), kInfF);
-    sc.bPar.assign(static_cast<size_t>(k), 0);
-    // Candidate hash: wipe the slots the previous shot used (the table
-    // is empty between shots), then make sure it starts large enough.
-    for (uint32_t slot : sc.candSlots)
-        sc.candTable[static_cast<size_t>(slot)] = {};
-    sc.candSlots.clear();
-    {
-        size_t want = 64;
-        while (want < 8 * static_cast<size_t>(k))
-            want <<= 1;
-        if (sc.candTable.size() < want)
-            sc.candTable.assign(want, {});
-    }
-
-    const bool closed_form = k <= 2;
-    /** Initial per-ball settle budget of the adaptive regime: enough to
-     *  reach the immediate neighbourhood (cluster fellows), cheap when
-     *  the certificate then demands more. */
-    constexpr int kInitialSettles = 2;
-    /** Growth rounds before forcing fully exact coverage (safety; the
-     *  1.5x-or-dual-bound growth reaches any radius long before). */
-    constexpr int kMaxRounds = 24;
-
-    const auto by_dist = std::greater<SparseBlossomScratch::HeapItem>();
-    // Slot lookup for landing candidates: defects are sorted ascending.
-    auto slotOfNode = [&](int node) -> int {
-        const auto it =
-            std::lower_bound(defects.begin(), defects.end(), node);
-        return (it != defects.end() && *it == node)
-                   ? static_cast<int>(it - defects.begin())
-                   : -1;
-    };
-    auto coverOf = [&](size_t node, int defect)
-        -> SparseBlossomScratch::Cover * {
-        for (int c = headOf(node); c >= 0;
-             c = sc.coverPool[static_cast<size_t>(c)].next) {
-            if (sc.coverPool[static_cast<size_t>(c)].defect == defect)
-                return &sc.coverPool[static_cast<size_t>(c)];
-        }
-        return nullptr;
-    };
-    auto addCover = [&](size_t node, int defect, double dist, uint8_t par) {
-        const int idx = static_cast<int>(sc.coverPool.size());
-        sc.coverPool.push_back({defect, headOf(node), dist, par, 0});
-        sc.coverHead[node] = idx;
-        sc.coverGen[node] = gen;
-    };
-
-    for (int t = 0; t < k; ++t) {
-        addCover(static_cast<size_t>(defects[static_cast<size_t>(t)]), t,
-                 0.0, 0);
-        sc.heap.push_back({0.0, defects[static_cast<size_t>(t)], t});
-    }
-    std::make_heap(sc.heap.begin(), sc.heap.end(), by_dist);
-
-    // Settle everything within the current caps; park the rest.
-    auto drain = [&] {
-        while (!sc.heap.empty()) {
-            std::pop_heap(sc.heap.begin(), sc.heap.end(), by_dist);
-            const auto item = sc.heap.back();
-            sc.heap.pop_back();
-            const auto [dv, node, defect] = item;
-            if (dv > sc.ballCap[static_cast<size_t>(defect)]) {
-                sc.deferred.push_back(item); // resumes if the cap grows
-                continue;
-            }
-            const auto ni = static_cast<size_t>(node);
-            SparseBlossomScratch::Cover *me = coverOf(ni, defect);
-            SURF_ASSERT(me != nullptr);
-            if (me->settled || dv > me->dist)
-                continue; // stale heap entry
-            me->settled = 1;
-            const double d = me->dist;
-            const uint8_t par = me->par;
-            const int settled = ++sc.ballSettled[static_cast<size_t>(defect)];
-
-            if (node == bnode) {
-                sc.bDist[static_cast<size_t>(defect)] =
-                    static_cast<float>(d);
-                sc.bPar[static_cast<size_t>(defect)] = par;
-                if (closed_form)
-                    sc.ballCap[static_cast<size_t>(defect)] =
-                        d + kWeightTieMargin;
-            } else if (!closed_form && settled >= kInitialSettles &&
-                       sc.ballCap[static_cast<size_t>(defect)] == kInfD) {
-                // Initial sizing: stop after the local neighbourhood;
-                // the certificate loop grows whatever proves too small.
-                sc.ballCap[static_cast<size_t>(defect)] = d;
-            }
-            // Landing on another fired defect's node: the witness is
-            // the same Dijkstra the row builder would run, so distance
-            // and parity are bit-identical to the table entry.
-            if (const int s2 = slotOfNode(node); s2 >= 0 && s2 != defect)
-                addCandidate(sc, defect, s2, d, par, defect < s2 ? 0 : 1);
-            // Collisions with balls already settled at this node. Both
-            // legs are settles, hence within their balls' caps, so
-            // every candidate recorded here is within reach of the
-            // instance-build filter (radiusOf) — which is where
-            // beyond-range pairs are actually dropped.
-            for (int c = headOf(ni); c >= 0;
-                 c = sc.coverPool[static_cast<size_t>(c)].next) {
-                const auto &o = sc.coverPool[static_cast<size_t>(c)];
-                if (o.settled && o.defect != defect)
-                    addCandidate(sc, defect, o.defect, d + o.dist,
-                                 par ^ o.par, 2);
-            }
-            const uint32_t b0 = csr_off[ni], b1 = csr_off[ni + 1];
-            for (uint32_t i = b0; i < b1; ++i) {
-                const auto to = static_cast<size_t>(csr_to[i]);
-                const double nd = d + csr_w[i];
-                // Crossing collisions: my front reaches across this
-                // edge into nodes other balls have settled.
-                for (int c = headOf(to); c >= 0;
-                     c = sc.coverPool[static_cast<size_t>(c)].next) {
-                    const auto &o = sc.coverPool[static_cast<size_t>(c)];
-                    if (o.settled && o.defect != defect)
-                        addCandidate(sc, defect, o.defect, nd + o.dist,
-                                     par ^ csr_obs[i] ^ o.par, 2);
-                }
-                SparseBlossomScratch::Cover *cv = coverOf(to, defect);
-                if (!cv) {
-                    addCover(to, defect, nd, par ^ csr_obs[i]);
-                    sc.heap.push_back({nd, csr_to[i], defect});
-                    std::push_heap(sc.heap.begin(), sc.heap.end(),
-                                   by_dist);
-                } else if (!cv->settled && nd < cv->dist - 1e-12) {
-                    cv->dist = nd;
-                    cv->par = par ^ csr_obs[i];
-                    sc.heap.push_back({nd, csr_to[i], defect});
-                    std::push_heap(sc.heap.begin(), sc.heap.end(),
-                                   by_dist);
-                }
-            }
-        }
-    };
-    // Resume a parked frontier after caps changed.
-    auto resume = [&] {
-        sc.heap.swap(sc.deferred);
-        sc.deferred.clear();
-        std::make_heap(sc.heap.begin(), sc.heap.end(), by_dist);
-    };
-
-    const auto bd = [&](int t) {
-        return static_cast<double>(sc.bDist[static_cast<size_t>(t)]);
-    };
-
-    // --- Closed forms for the common low-weight syndromes, identical
-    // decisions to the rows path (same float values, same compares).
-    if (closed_form) {
-        drain();
-        if (k == 1) {
-            if (totalWeight && std::isfinite(bd(0)))
-                *totalWeight = quantizeMatchWeight(sc.bDist[0]);
-            return sc.bPar[0] != 0;
-        }
-        const SparseBlossomScratch::Cand *c01 = findCandidate(sc, 0, 1);
-        const double pair_w = c01 ? static_cast<double>(c01->w) : kInfD;
-        const double bdry_w = bd(0) + bd(1);
-        if (pair_w <= bdry_w) {
-            if (!std::isfinite(pair_w))
-                return false;
-            if (totalWeight)
-                *totalWeight = quantizeMatchWeight(c01->w);
-            return c01->par != 0;
-        }
-        if (totalWeight)
-            *totalWeight = quantizeMatchWeight(sc.bDist[0]) +
-                           quantizeMatchWeight(sc.bDist[1]);
-        return (sc.bPar[0] ^ sc.bPar[1]) != 0;
-    }
-
-    // --- Adaptive growth + mirror reduction + sparse blossom ----------
-    bool solved = false;
-    MirrorMatchScratch &mm = sc.mirror;
-    for (int round = 0; !solved; ++round) {
-        // Cooperative deadline poll between growth/certificate rounds:
-        // each round is a bounded chunk of work (drain to current caps +
-        // one sparse matching), so an expired budget is noticed within
-        // one round and the partially grown state is simply abandoned
-        // (the scratch resets per shot).
-        if (round > 0 && outOfTime())
-            return false;
-        const bool exact_round = round >= kMaxRounds;
-        if (exact_round)
-            // Safety net: fully exact coverage (every ball explores its
-            // whole component; equivalent to the exact-rows instance).
-            std::fill(sc.ballCap.begin(), sc.ballCap.end(), kInfD);
-        drain();
-        // A ball is live while parked frontier remains; an exhausted
-        // ball has settled its entire component, so nothing involving
-        // it is undiscovered and no certificate is needed for it.
-        std::fill(sc.ballLive.begin(), sc.ballLive.end(), 0);
-        for (const auto &item : sc.deferred)
-            sc.ballLive[static_cast<size_t>(item.defect)] = 1;
-        const auto radiusOf = [&](int t) {
-            return sc.ballLive[static_cast<size_t>(t)]
-                       ? sc.ballCap[static_cast<size_t>(t)]
-                       : kInfD;
-        };
-
-        // Build the instance from provably exact candidates: a stored
-        // pair weight within radius(a) + radius(b) is the true
-        // shortest-path distance (the two balls jointly cover the path);
-        // anything farther is dropped and left to the certificate.
-        mm.pairs.clear();
-        for (uint32_t slot : sc.candSlots) {
-            const auto &c = sc.candTable[static_cast<size_t>(slot)];
-            const int a = static_cast<int>((c.key - 1) >> 32);
-            const int b = static_cast<int>((c.key - 1) & 0xffffffffu);
-            if (static_cast<double>(c.w) > radiusOf(a) + radiusOf(b))
-                continue;
-            // Perturbed weights (the node-id tie-break hash the rows
-            // path bakes into its instance too), so every backend picks
-            // the same optimum even among equal-weight matchings.
-            mm.pairs.push_back(
-                {a, b,
-                 perturbedMatchWeight(static_cast<double>(c.w),
-                                      defects[static_cast<size_t>(a)],
-                                      defects[static_cast<size_t>(b)])});
-        }
-        mm.boundary.assign(static_cast<size_t>(k), -1);
-        for (int t = 0; t < k; ++t)
-            if (std::isfinite(bd(t)))
-                mm.boundary[static_cast<size_t>(t)] = perturbedMatchWeight(
-                    bd(t), defects[static_cast<size_t>(t)], bnode);
-
-        const bool perfect = mirrorMatch(k, mm);
-        if (!perfect) {
-            // Not matchable yet: boundaries unreached or clusters still
-            // split. Grow every ball that still has frontier; if none
-            // does, the instance is final and genuinely has no perfect
-            // matching (the rows path's all-boundary fallback).
-            bool grew = false;
-            for (int t = 0; t < k; ++t)
-                if (sc.ballLive[static_cast<size_t>(t)]) {
-                    auto &cap = sc.ballCap[static_cast<size_t>(t)];
-                    cap = (cap == kInfD) ? kInfD
-                                         : std::max(2.0 * cap,
-                                                    cap + 8.0 / 1024.0);
-                    grew = true;
-                }
-            if (!grew) {
-                bool obs = false;
-                int64_t total = 0;
-                for (int t = 0; t < k; ++t) {
-                    obs ^= sc.bPar[static_cast<size_t>(t)] != 0;
-                    if (std::isfinite(bd(t)))
-                        total += quantizeMatchWeight(
-                            sc.bDist[static_cast<size_t>(t)]);
-                }
-                if (totalWeight)
-                    *totalWeight = total;
-                return obs;
-            }
-            resume();
-            continue;
-        }
-        if (exact_round)
-            break; // fully exact coverage: no certificate needed
-
-        // Dual certificate: the absent-edge constraint y'_u + y'_v >=
-        // 4*(offset - w) holds for every undiscovered pair/boundary if
-        // each defect's symmetrized min-instance dual
-        //   Y_t = (4*offset - y'_t - y'_{t+k}) / 8
-        // stays within the ball's certified radius (one quantization
-        // step of slack absorbs the rounding at the rim). Exhausted
-        // balls pass vacuously.
-        const int64_t offset = mm.matcher.lastOffset;
-        bool all_pass = true, grew = false;
-        for (int t = 0; t < k; ++t) {
-            if (!sc.ballLive[static_cast<size_t>(t)])
-                continue;
-            const int64_t ys =
-                mm.matcher.dual[static_cast<size_t>(t)] +
-                mm.matcher.dual[static_cast<size_t>(k + t)];
-            const int64_t y8 = 4 * offset - ys; // 8 * Y_t, perturbed scale
-            const double cap = sc.ballCap[static_cast<size_t>(t)];
-            const int64_t threshold = (quantizeMatchWeight(cap) - 1)
-                                      << kMatchTieBits;
-            if (8 * threshold >= y8)
-                continue;
-            all_pass = false;
-            // Grow to the dual bound (plus slack), at least 1.5x.
-            const double need =
-                static_cast<double>(y8) /
-                    (8.0 * (INT64_C(1) << kMatchTieBits) *
-                     kMatchWeightScale) +
-                4.0 * kWeightTieMargin;
-            sc.ballCap[static_cast<size_t>(t)] =
-                std::max(need, 1.5 * cap);
-            grew = true;
-        }
-        if (all_pass || !grew)
-            solved = true; // certified optimal (or nothing left to grow)
-        else
-            resume();
-    }
-
-    bool obs = false;
-    int64_t total = 0;
-    for (int t = 0; t < k; ++t) {
-        const int m = mm.mate[static_cast<size_t>(t)];
-        if (m == k + t) {
-            obs ^= sc.bPar[static_cast<size_t>(t)] != 0;
-            total += quantizeMatchWeight(sc.bDist[static_cast<size_t>(t)]);
-        } else if (m > t && m < k) {
-            const SparseBlossomScratch::Cand *c = findCandidate(sc, t, m);
-            SURF_ASSERT(c != nullptr);
-            obs ^= c->par != 0;
-            total += quantizeMatchWeight(c->w);
-        }
-    }
-    if (totalWeight)
-        *totalWeight = total;
-    return obs;
 }
 
 } // namespace surf

@@ -1,7 +1,6 @@
 /**
  * @file
- * The one exact matching solver of the MWPM decoder, and the
- * matrix-free burst matcher built on it.
+ * The one exact matching solver of the MWPM decoder.
  *
  * sparseMinWeightPerfectMatching is an adjacency-list blossom solver
  * (alternating-tree growth with dual variables, region merging via
@@ -9,44 +8,11 @@
  * perfect matching on any edge list; mirrorMatch solves a
  * pair-or-boundary decoding instance with it. Every MWPM decode goes
  * through mirrorMatch: the rows path (mwpm.hh) hands it the pairs its
- * memoized rows witness, sparseBlossomDecode the pairs its balls
- * discover. sparseBlossomDecode (the PyMatching-2-style SparseBlossom
- * backend) keeps no rows; it works directly on the CSR adjacency:
+ * memoized rows witness, each weighted by the shared tie-break
+ * perturbation of match_weights.hh.
  *
- *  1. Discovery: one multi-source Dijkstra grows a ball outward from
- *     every fired defect simultaneously (one shared heap, globally
- *     increasing distance; pops beyond a ball's cap are parked, so
- *     growth resumes exactly where it stopped). Ball collisions (at
- *     shared nodes and across single CSR edges) emit sparse candidate
- *     edges (weight + observable parity); the best candidate per pair
- *     is kept in a small open-addressing hash. A pair whose distance is
- *     within the two balls' cap sum is provably discovered at its exact
- *     shortest-path value.
- *  2. Matching: mirrorMatch on the discovered defect graph.
- *  3. Certification: the solve's own dual variables bound how far an
- *     undiscovered edge could still matter. Each defect whose
- *     (symmetrized, min-instance) dual exceeds its certified ball
- *     radius grows to the dual bound and the solve repeats; when every
- *     defect's dual fits inside its radius (or its ball exhausted its
- *     component), no absent pair or boundary edge can improve the
- *     matching and the result is provably optimal for the full graph.
- *     Typical bursts certify in a round or two with balls a few edges
- *     wide; a bounded-round safety net falls back to full coverage.
- *     (For k <= 2 the closed forms need exact boundary distances, so
- *     those balls simply grow until the boundary settles.)
- *
- * Total matched weight (in the shared 1/1024 quantization) equals the
- * rows path's on the same shot: both minimise the same
- * tie-break-perturbed sum (match_weights.hh), so even the choice among
- * equal-weight optima is backend-independent. That sum can favour a
- * matching one 1/1024 step heavier than the true optimum on rare shots
- * (the summed hashes can outweigh a step); every backend then reports
- * the same heavier matching. Per-shot cost scales with the syndrome's
- * local neighbourhood instead of k^2, which is what makes high-defect
- * burst syndromes (cosmic-ray clusters) affordable.
- *
- * All state lives in caller-owned scratch arenas (epoch-stamped arrays,
- * pooled lists), so steady-state decoding performs no allocation.
+ * All state lives in caller-owned scratch arenas whose buffers only
+ * grow, so steady-state decoding performs no allocation.
  */
 
 #ifndef SURF_DECODE_SPARSE_BLOSSOM_HH
@@ -54,8 +20,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "decode/graph.hh"
 
 namespace surf {
 
@@ -93,10 +57,6 @@ struct SparseMatcherScratch
     std::vector<int> unusedBlossoms;
     std::vector<int> queue;
     std::vector<int> mate; ///< remote endpoint index or -1
-    /** Offset of the last min->max weight transform: dual variables
-     *  relate to min-instance potentials via Y_v = (2*offset - y_v)/4,
-     *  which is what the burst matcher's growth certificate reads. */
-    int64_t lastOffset = 0;
     // Temporaries.
     std::vector<int> path;        ///< scanBlossom trail
     std::vector<int> leafStack;   ///< blossomLeaves traversal
@@ -135,9 +95,7 @@ struct MirrorMatchScratch
      *  when the boundary is unreachable. */
     std::vector<int64_t> boundary;
     std::vector<SparseMatchEdge> edges; ///< the doubled instance
-    /** Solver arena; its duals stay readable after the solve (the
-     *  burst matcher's growth certificate reads them). */
-    SparseMatcherScratch matcher;
+    SparseMatcherScratch matcher; ///< solver arena
     /** Output: mate[t] for t < k is the partner slot, or k + t when
      *  defect t matches the boundary. */
     std::vector<int> mate;
@@ -155,90 +113,6 @@ struct MirrorMatchScratch
  *         paired or sent to the boundary)
  */
 bool mirrorMatch(int k, MirrorMatchScratch &sc);
-
-/**
- * Reusable arena of the burst matcher: the multi-source Dijkstra state
- * (shared heap + per-node cover lists), the candidate-edge hash, the
- * reduced matching graph and the solver arena.
- */
-struct SparseBlossomScratch
-{
-    // Multi-source ball growth: per node, a pooled linked list of the
-    // balls covering it (defect slot, distance, parity, settled flag).
-    struct Cover
-    {
-        int defect;
-        int next;       ///< pool index or -1
-        double dist;
-        uint8_t par;
-        uint8_t settled;
-    };
-    std::vector<int> coverHead;   ///< node -> pool index; epoch-stamped
-    std::vector<uint32_t> coverGen;
-    uint32_t coverCur = 0;
-    std::vector<Cover> coverPool;
-    struct HeapItem
-    {
-        double dist;
-        int node;
-        int defect;
-        bool operator>(const HeapItem &o) const
-        {
-            if (dist != o.dist)
-                return dist > o.dist;
-            if (node != o.node)
-                return node > o.node;
-            return defect > o.defect;
-        }
-    };
-    std::vector<HeapItem> heap;
-    std::vector<HeapItem> deferred; ///< pops beyond a ball's current cap
-    std::vector<double> ballCap;    ///< per defect: certified radius
-    std::vector<int> ballSettled;   ///< settle count (initial sizing)
-    std::vector<uint8_t> ballLive;  ///< frontier not yet exhausted
-
-    // Per-defect boundary matching data.
-    std::vector<float> bDist;
-    std::vector<uint8_t> bPar;
-
-    // Candidate defect-pair edges: open-addressing hash keyed on the
-    // (lo, hi) defect-slot pair, best (weight, witness rank) kept.
-    struct Cand
-    {
-        uint64_t key = 0; ///< 0 = empty slot
-        float w = 0.0f;
-        uint8_t par = 0;
-        uint8_t rank = 0; ///< 0: lo ball landed on hi; 1: hi on lo;
-                          ///< 2: frontier crossing
-    };
-    std::vector<Cand> candTable;     ///< power-of-two open addressing
-    std::vector<uint32_t> candSlots; ///< used slots (reset + iteration)
-
-    MirrorMatchScratch mirror; ///< discovered instance + solver
-};
-
-class DecodeDeadline;
-
-/**
- * Decode one shot with the matrix-free matcher.
- *
- * @param graph CSR decoding graph (any backend; only adjacency is used)
- * @param defects ascending local node ids of the fired defects
- * @param sc burst-matcher arena
- * @param totalWeight optional: matched weight in the shared quantization
- *        (sum of llround(w * 1024) over matched pair/boundary paths)
- * @param deadline optional soft budget (util/deadline.hh), polled at
- *        entry and between growth/certificate rounds; null = never
- * @param timedOut set when the deadline expired and the decode was
- *        abandoned (the returned prediction is then untrusted)
- * @return predicted observable flip
- */
-bool sparseBlossomDecode(const DecodingGraph &graph,
-                         const std::vector<int> &defects,
-                         SparseBlossomScratch &sc,
-                         int64_t *totalWeight = nullptr,
-                         const DecodeDeadline *deadline = nullptr,
-                         bool *timedOut = nullptr);
 
 } // namespace surf
 

@@ -16,7 +16,9 @@ namespace {
 /** Site tags keep decision streams of different sites decorrelated. */
 enum Site : uint64_t
 {
-    kSiteStall = 0x5741ULL,
+    /** Rows-stage stalls keep the site id they have always hashed
+     *  with, so a stall plan replays the same stalls. */
+    kSiteStall = 0x5742ULL,
     kSiteStormEpoch = 0x5701ULL,
     kSiteStormBatch = 0x5702ULL,
     kSiteTruncate = 0x7201ULL,
@@ -65,10 +67,8 @@ FaultPlan::summary() const
     char buf[256];
     std::string out = "seed=" + std::to_string(seed);
     if (stallProb > 0.0) {
-        std::snprintf(buf, sizeof buf, "; stall p=%g ns=%llu stages=%s%s",
-                      stallProb, static_cast<unsigned long long>(stallNs),
-                      (stallStages >> kStageBlossom) & 1 ? "blossom," : "",
-                      (stallStages >> kStageRows) & 1 ? "rows" : "");
+        std::snprintf(buf, sizeof buf, "; stall p=%g ns=%llu", stallProb,
+                      static_cast<unsigned long long>(stallNs));
         out += buf;
     }
     if (stormEveryEpochs || stormEveryBatches) {
@@ -127,11 +127,6 @@ validateFaultPlan(const FaultPlan &plan)
     if (plan.stallProb > 0.0 && plan.stallNs == 0)
         return Status::invalidArgument("fault plan: stall.ns must be > 0 "
                                        "when stall.p > 0");
-    if (plan.stallProb > 0.0 &&
-        !(plan.stallStages &
-          ((1u << kStageBlossom) | (1u << kStageRows))))
-        return Status::invalidArgument("fault plan: stall.stages must name "
-                                       "blossom and/or rows");
     if (plan.burstProb > 0.0 && plan.burstSize == 0)
         return Status::invalidArgument("fault plan: burst.size must be > 0 "
                                        "when burst.p > 0");
@@ -178,26 +173,6 @@ parseFaultPlan(const std::string &spec)
             return tail && *tail == '\0';
         };
         double num = 0.0;
-        if (key == "stall.stages") {
-            uint8_t stages = 0;
-            size_t p = 0;
-            while (p < val.size()) {
-                size_t c = val.find(',', p);
-                if (c == std::string::npos)
-                    c = val.size();
-                const std::string name = val.substr(p, c - p);
-                p = c + 1;
-                if (name == "blossom")
-                    stages |= 1u << kStageBlossom;
-                else if (name == "rows")
-                    stages |= 1u << kStageRows;
-                else
-                    return badClause(clause, "stage must be 'blossom' or "
-                                             "'rows'");
-            }
-            plan.stallStages = stages;
-            continue;
-        }
         if (!number(num))
             return badClause(clause, "value is not a number");
         if (key == "seed")
@@ -233,8 +208,8 @@ parseFaultPlan(const std::string &spec)
         else
             return badClause(clause,
                              "unknown key (expected seed, stall.p, "
-                             "stall.ns, stall.stages, storm.epochs, "
-                             "storm.batches, truncate.frac, corrupt.p, "
+                             "stall.ns, storm.epochs, storm.batches, "
+                             "truncate.frac, corrupt.p, "
                              "burst.p, burst.size, fab.q.p, fab.c.p, "
                              "snap.torn, snap.bitflip.p, snap.stale, "
                              "snap.kill)");
@@ -258,14 +233,11 @@ faultPlanFromEnv()
 }
 
 uint64_t
-FaultInjector::stallNs(uint64_t salt, uint64_t shot, uint64_t epoch,
-                       DecodeStage stage) const
+FaultInjector::stallNs(uint64_t salt, uint64_t shot, uint64_t epoch) const
 {
-    if (plan_.stallProb <= 0.0 || !(plan_.stallStages & (1u << stage)))
+    if (plan_.stallProb <= 0.0)
         return 0;
-    const uint64_t h = mix(plan_.seed,
-                           kSiteStall + static_cast<uint64_t>(stage), salt,
-                           shot, epoch);
+    const uint64_t h = mix(plan_.seed, kSiteStall, salt, shot, epoch);
     return unit(h) < plan_.stallProb ? plan_.stallNs : 0;
 }
 

@@ -10,9 +10,9 @@
  * every query to "no fault".
  *
  * Sites:
- *  - decoder stalls (stall.*): virtual time charged to a ladder stage at
- *    stage entry, forcing the deadline's staged fallback deterministically
- *    (util/deadline.hh, virtual clock mode);
+ *  - decoder stalls (stall.*): virtual time charged to the rows stage
+ *    at stage entry, forcing the deadline's fallback to union-find
+ *    deterministically (util/deadline.hh, virtual clock mode);
  *  - cache-eviction storms (storm.*): DeformedCodeCache::evictAll() fired
  *    mid-timeline between epoch builds and between shot batches, while
  *    live decodes still hold shared_ptr handles into evicted entries;
@@ -35,7 +35,7 @@
  *    timelines complete, the kill/resume checkpoint harness.
  *
  * SURF_FAULT_PLAN syntax: semicolon-separated key=value clauses, e.g.
- *   seed=7;stall.p=1;stall.ns=50e6;stall.stages=blossom,rows;
+ *   seed=7;stall.p=1;stall.ns=50e6;
  *   storm.epochs=2;storm.batches=3;truncate.frac=0.5;corrupt.p=0.1;
  *   burst.p=0.05;burst.size=40;fab.q.p=0.01;fab.c.p=0.005;
  *   snap.torn=0.6;snap.bitflip.p=1e-4;snap.stale=1;snap.kill=3
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "defects/defect_sampler.hh"
-#include "util/deadline.hh"
 #include "util/status.hh"
 
 namespace surf {
@@ -63,10 +62,8 @@ struct FaultPlan
     uint64_t seed = 0; ///< decision seed (independent of the run seed)
 
     // --- decoder stalls -------------------------------------------------
-    double stallProb = 0.0;           ///< per (shot, epoch, stage)
-    uint64_t stallNs = 50'000'000;    ///< virtual stall per hit (50 ms)
-    uint8_t stallStages =
-        (1u << kStageBlossom) | (1u << kStageRows); ///< stage bitmask
+    double stallProb = 0.0;        ///< per (shot, epoch)
+    uint64_t stallNs = 50'000'000; ///< virtual stall per hit (50 ms)
 
     // --- cache-eviction storms ------------------------------------------
     uint32_t stormEveryEpochs = 0;  ///< evictAll() before every Nth epoch build
@@ -148,9 +145,9 @@ class FaultInjector
         return plan_.hasDecoderStalls();
     }
 
-    /** Virtual stall (ns) charged to `stage` of this decode; 0 = none. */
-    uint64_t stallNs(uint64_t salt, uint64_t shot, uint64_t epoch,
-                     DecodeStage stage) const;
+    /** Virtual stall (ns) charged to this decode's rows stage; 0 =
+     *  none. */
+    uint64_t stallNs(uint64_t salt, uint64_t shot, uint64_t epoch) const;
 
     /** Fire a cache-eviction storm before this epoch build? */
     bool stormAtEpochBuild(uint64_t salt, uint64_t epochIndex) const;

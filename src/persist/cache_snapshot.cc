@@ -18,8 +18,9 @@ enum RecordType : uint8_t
 };
 
 constexpr uint8_t kMaxOp = static_cast<uint8_t>(Op::FrameProbe);
-constexpr uint8_t kMaxBackend =
-    static_cast<uint8_t>(MatchingBackend::SparseBlossom);
+/** Highest live backend: records naming the retired SparseBlossom are
+ *  rejected like any other out-of-range value. */
+constexpr uint8_t kMaxBackend = static_cast<uint8_t>(MatchingBackend::Sparse);
 
 void
 writeCircuit(ByteWriter &w, const Circuit &c)

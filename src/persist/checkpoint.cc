@@ -212,7 +212,6 @@ scenarioConfigSignature(const ScenarioConfig &cfg)
     sig.u64(live_faults ? f.seed : 0);
     sig.f64(live_faults ? f.stallProb : 0.0);
     sig.u64(live_faults ? f.stallNs : 0);
-    sig.u64(live_faults ? f.stallStages : 0);
     sig.u64(live_faults ? f.stormEveryEpochs : 0);
     sig.u64(live_faults ? f.stormEveryBatches : 0);
     sig.f64(live_faults ? f.truncateFrac : 0.0);

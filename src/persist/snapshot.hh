@@ -45,8 +45,10 @@ class FaultInjector;
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 /** Payload ABI version: bump when any serialized struct changes.
  *  v2: DegradationLedger gained the three fab* counters.
- *  v3: segment records carry no memoized rows. */
-inline constexpr uint32_t kSnapshotAbiVersion = 3;
+ *  v3: segment records carry no memoized rows.
+ *  v4: the ladder lost its blossom stage, so checkpointed
+ *      DegradationLedger stage arrays hold two stages, not three. */
+inline constexpr uint32_t kSnapshotAbiVersion = 4;
 /** Header size: magic (8) | format u32 | abi u32 | header crc32. */
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 4;
 

@@ -78,8 +78,6 @@ backendTag(MatchingBackend b)
     switch (b) {
       case MatchingBackend::Dense:
         return "dense";
-      case MatchingBackend::SparseBlossom:
-        return "sblossom";
       default:
         return "sparse";
     }
@@ -599,8 +597,8 @@ sampleDecode(RunContext &ctx, const CachedTimeline &tlc, uint64_t salt,
         w.mism.assign(n_epochs, 0);
     }
     // MWPM decode under the fallback ladder when a deadline is armed:
-    // blossom → rows inside the decoder, then the union-find floor here
-    // when both overran. Every trip lands in the worker's ledger.
+    // rows inside the decoder, then the union-find floor here when the
+    // rows stage overran. Every trip lands in the worker's ledger.
     const auto mwpmDecode = [&](const CachedTimelineEpoch &ce, Worker &w,
                                 uint64_t shot, size_t e) -> bool {
         MwpmScratch &msc = w.mwpm;
@@ -608,17 +606,11 @@ sampleDecode(RunContext &ctx, const CachedTimeline &tlc, uint64_t salt,
             return ce.seg->mwpm->decode(w.ids.data(), w.ids.size(), msc);
         DecodeDeadline &dl = w.deadline;
         msc.deadline = &dl;
-        msc.stallNs = {};
-        if (inject.enabled()) {
-            msc.stallNs[kStageBlossom] =
-                inject.stallNs(salt, shot, e, kStageBlossom);
-            msc.stallNs[kStageRows] = inject.stallNs(salt, shot, e, kStageRows);
-        }
+        msc.stallNs = inject.enabled() ? inject.stallNs(salt, shot, e) : 0;
         bool predicted = ce.seg->mwpm->decode(w.ids.data(), w.ids.size(), msc);
         msc.deadline = nullptr;
-        for (uint8_t st = 0; st < kNumDecodeStages; ++st)
-            if ((msc.ladder.attempted >> st) & 1 && msc.stallNs[st])
-                ++w.ledger.injectedStalls;
+        if (msc.ladder.attempted && msc.stallNs)
+            ++w.ledger.injectedStalls;
         if (msc.timedOut) {
             // The union-find floor always completes: the shot degrades
             // but never blocks.
@@ -856,8 +848,7 @@ validateScenarioConfig(const ScenarioConfig &cfg)
         !s.ok())
         return s;
     if (Status s = unknown("MatchingBackend", cfg.matching,
-                           {MatchingBackend::Dense, MatchingBackend::Sparse,
-                            MatchingBackend::SparseBlossom});
+                           {MatchingBackend::Dense, MatchingBackend::Sparse});
         !s.ok())
         return s;
     if (cfg.basis != PauliType::X && cfg.basis != PauliType::Z)

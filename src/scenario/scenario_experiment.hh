@@ -80,10 +80,9 @@ struct ScenarioConfig
     DecoderKind decoder = DecoderKind::Auto;
     size_t mwpmDefectCap = 120; ///< Auto: per-epoch defect cap for MWPM
     /** Matching backend of the per-epoch MWPM decoders (part of the
-     *  decode-segment cache identity). The default Sparse backend
-     *  dispatches burst shots to the matrix-free sparse blossom past
-     *  the decoder's defect threshold; Dense (exact rows) and
-     *  SparseBlossom pin one path for every shot. */
+     *  decode-segment cache identity): Sparse (radius-bounded rows with
+     *  the K-nearest mask below the burst threshold, the default) or
+     *  Dense (exact rows). The retired SparseBlossom is rejected. */
     MatchingBackend matching = MatchingBackend::Sparse;
     /** LRU bound on each cached decoder's memoized Dijkstra row pool
      *  (rows per graph; 0 = unbounded). Caps decoder memory on long
@@ -109,7 +108,7 @@ struct ScenarioConfig
      * Per-stage soft decode budget in nanoseconds; 0 (the default)
      * disables deadlines entirely and keeps every result bit-identical
      * to earlier builds. When set, MWPM shots run the staged fallback
-     * ladder (sparse blossom → memoized rows → union-find; see
+     * ladder (memoized-rows MWPM → union-find; see
      * util/deadline.hh) and every downgrade lands in the run's
      * DegradationLedger. With a real clock the degradation pattern is
      * wall-time dependent (best-effort); with a stall-injecting fault

@@ -9,8 +9,6 @@ const char *
 decodeStageName(DecodeStage stage)
 {
     switch (stage) {
-      case kStageBlossom:
-        return "blossom";
       case kStageRows:
         return "rows";
       case kStageUnionFind:

@@ -7,11 +7,11 @@
  * merely costs a little accuracy. DecodeDeadline gives every shot a soft
  * per-stage time budget and the decoders cooperative cancellation points;
  * when a stage overruns, the engine downgrades along a staged fallback
- * ladder — sparse blossom → memoized-rows MWPM → union-find — and the
- * union-find floor always completes, so a decode can degrade but never
- * block. Every downgrade is recorded in a DegradationLedger (per-stage
- * attempt/timeout/completion counts plus log2-bucket latency histograms),
- * which the scenario engine aggregates per run.
+ * ladder — memoized-rows MWPM → union-find — and the union-find floor
+ * always completes, so a decode can degrade but never block. Every
+ * downgrade is recorded in a DegradationLedger (per-stage
+ * attempt/timeout/completion counts plus log2-bucket latency
+ * histograms), which the scenario engine aggregates per run.
  *
  * Two clock modes:
  *  - Real (default): stage elapsed time is a monotonic stopwatch. Stage
@@ -41,13 +41,12 @@ namespace surf {
 /** Stages of the fallback ladder, in downgrade order. */
 enum DecodeStage : uint8_t
 {
-    kStageBlossom = 0,   ///< matrix-free sparse blossom (burst shots)
-    kStageRows = 1,      ///< memoized-rows MWPM
-    kStageUnionFind = 2, ///< union-find floor: always completes
-    kNumDecodeStages = 3,
+    kStageRows = 0,      ///< memoized-rows MWPM
+    kStageUnionFind = 1, ///< union-find floor: always completes
+    kNumDecodeStages = 2,
 };
 
-/** Human-readable stage tag ("blossom" / "rows" / "uf"). */
+/** Human-readable stage tag ("rows" / "uf"). */
 const char *decodeStageName(DecodeStage stage);
 
 /**
@@ -55,9 +54,9 @@ const char *decodeStageName(DecodeStage stage);
  *
  * The owner configures the budget once (configure), then per shot arms
  * stages in ladder order: beginStage() starts the stage clock, the
- * decoder polls expired() at coarse work boundaries (per certificate
- * round, per Dijkstra row), and the owner reads stageElapsedNs() for the
- * ledger when the stage ends. In virtual mode the stage clock is the
+ * decoder polls expired() at coarse work boundaries (per Dijkstra row,
+ * per solve), and the owner reads stageElapsedNs() for the ledger when
+ * the stage ends. In virtual mode the stage clock is the
  * injected stall alone, so expiry is deterministic.
  */
 class DecodeDeadline

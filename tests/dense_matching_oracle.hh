@@ -13,8 +13,8 @@
  *    rounding), so exact rows must match them entry for entry.
  *  - TableDecoder: tables + dense blossom, the former Dense backend.
  *  - RowsMatrixDecoder: the decoder's own memoized rows + K-nearest mask
- *    + k x k matrix + dense blossom, the former rows path, with the
- *    former Sparse burst dispatch to the matrix-free matcher.
+ *    + k x k matrix + dense blossom, the former rows path; burst shots
+ *    are matched maskless, as the Sparse backend does.
  *
  * Every path builds its matrix from match_weights.hh, like the library,
  * so weights and tie-breaks are the library's own.
@@ -35,7 +35,6 @@
 #include "decode/graph.hh"
 #include "decode/match_weights.hh"
 #include "decode/mwpm.hh"
-#include "decode/sparse_blossom.hh"
 #include "sim/dem.hh"
 #include "util/logging.hh"
 
@@ -561,7 +560,6 @@ struct OracleScratch
     std::vector<int> mate;
     DijkstraScratch dijkstra;
     std::vector<std::shared_ptr<const DecodingGraph::Row>> rows;
-    SparseBlossomScratch blossom;
     int64_t lastWeight = 0; ///< same quantization as MwpmScratch
 };
 
@@ -757,10 +755,10 @@ class TableDecoder
 
 /**
  * Memoized rows + K-nearest mask + k x k matrix + dense blossom: the
- * former rows path, with the former Sparse burst dispatch (shots of at
- * least max(kDefaultBlossomDefects, nodes / 12) defects go to the
- * library's matrix-free matcher unless truncation is SIZE_MAX or
- * `dispatch` is off).
+ * former rows path over the Sparse backend's radius-bounded rows. Burst
+ * shots (at least max(kDefaultBlossomDefects, nodes / 12) defects,
+ * unless `dispatch` is off) are matched without the mask, as the Sparse
+ * backend matches them.
  */
 class RowsMatrixDecoder
 {
@@ -774,11 +772,11 @@ class RowsMatrixDecoder
 
     const DecodingGraph &graph() const { return graph_; }
 
-    /** Whether a shot of k local defects goes to the matcher. */
+    /** Whether a shot of k local defects is matched maskless. */
     bool
     burst(size_t k) const
     {
-        return dispatch_ && truncate_k_ != SIZE_MAX &&
+        return dispatch_ &&
                k >= std::max(kDefaultBlossomDefects,
                              graph_.numNodes() / 12);
     }
@@ -792,10 +790,6 @@ class RowsMatrixDecoder
         sc.lastWeight = 0;
         if (k == 0)
             return false;
-        if (burst(defects.size()))
-            return sparseBlossomDecode(graph_, defects, sc.blossom,
-                                       &sc.lastWeight);
-        const bool exact = truncate_k_ == SIZE_MAX;
         const size_t cols = static_cast<size_t>(k) + 1;
         const auto bnode = static_cast<size_t>(graph_.boundaryNode());
         sc.pathDist.assign(cols * cols,
@@ -803,8 +797,8 @@ class RowsMatrixDecoder
         sc.pathPar.assign(cols * cols, 0);
         sc.rows.clear();
         for (int i = 0; i < k; ++i)
-            sc.rows.push_back(graph_.row(defects[static_cast<size_t>(i)],
-                                         exact, sc.dijkstra));
+            sc.rows.push_back(
+                graph_.row(defects[static_cast<size_t>(i)], sc.dijkstra));
         for (int i = 0; i < k; ++i) {
             const DecodingGraph::Row &ri = *sc.rows[static_cast<size_t>(i)];
             const size_t bi = static_cast<size_t>(i) * cols + k;
@@ -825,7 +819,10 @@ class RowsMatrixDecoder
                 sc.pathPar[idx] = w.par[t];
             }
         }
-        return detail::matrixMatch(graph_.boundaryNode(), truncate_k_, sc);
+        return detail::matrixMatch(graph_.boundaryNode(),
+                                   burst(defects.size()) ? SIZE_MAX
+                                                         : truncate_k_,
+                                   sc);
     }
 
   private:

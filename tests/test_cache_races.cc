@@ -32,12 +32,12 @@ namespace {
 
 TEST(CacheRaces, RowBudgetEvictionRacesLiveRowHandles)
 {
-    // One shared sparse decoder with a row budget far below the working
-    // set, hammered by several threads decoding the same shots: every
-    // decode publishes rows, trips LRU eviction and reads rows another
-    // thread may be evicting at that instant. The shared_ptr handles
-    // must keep in-use rows alive, and every prediction must match the
-    // unbudgeted serial reference bit for bit.
+    // One shared exact-rows decoder with a row budget far below the
+    // working set, hammered by several threads decoding the same shots:
+    // every decode publishes rows, trips LRU eviction and reads rows
+    // another thread may be evicting at that instant. The shared_ptr
+    // handles must keep in-use rows alive, and every prediction must
+    // match the unbudgeted serial reference bit for bit.
     MemorySpec spec;
     spec.rounds = 5;
     NoiseParams noise;
@@ -46,10 +46,8 @@ TEST(CacheRaces, RowBudgetEvictionRacesLiveRowHandles)
                                                   noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
 
-    MwpmDecoder reference(dem, 1, nullptr, MatchingBackend::Sparse);
-    reference.setTruncation(SIZE_MAX);
-    MwpmDecoder budgeted(dem, 1, nullptr, MatchingBackend::Sparse);
-    budgeted.setTruncation(SIZE_MAX);
+    const MwpmDecoder reference(dem, 1, nullptr, MatchingBackend::Dense);
+    MwpmDecoder budgeted(dem, 1, nullptr, MatchingBackend::Dense);
     budgeted.setRowBudget(4);
 
     FrameSimulator sim(built.circuit, 512, 0xace5);

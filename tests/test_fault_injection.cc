@@ -88,7 +88,7 @@ expectLedgersEqual(const DegradationLedger &a, const DegradationLedger &b,
 TEST(FaultPlan, ParsesFullSpec)
 {
     const auto plan = parseFaultPlan(
-        "seed=11;stall.p=0.25;stall.ns=2000000;stall.stages=blossom,rows;"
+        "seed=11;stall.p=0.25;stall.ns=2000000;"
         "storm.epochs=2;storm.batches=3;truncate.frac=0.5;corrupt.p=0.1;"
         "burst.p=0.05;burst.size=16");
     ASSERT_TRUE(plan.ok()) << plan.status().str();
@@ -115,7 +115,7 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     for (const char *spec :
          {"nonsense", "stall.p", "stall.p=", "stall.p=abc",
           "frobnicate=1", "stall.p=1.5", "corrupt.p=-0.1",
-          "stall.stages=quick", "truncate.frac=2",
+          "stall.stages=rows", "truncate.frac=2",
           "stall.p=0.5;stall.ns=0", "burst.p=0.5;burst.size=0"}) {
         const auto plan = parseFaultPlan(spec);
         EXPECT_FALSE(plan.ok()) << spec;
@@ -155,11 +155,11 @@ TEST(FaultInjector, DecisionsAreStatelessAndSeeded)
     plan.stallProb = 0.5;
     const FaultInjector inject(plan);
     EXPECT_TRUE(inject.virtualClockNeeded());
-    // Same (salt, shot, epoch, stage) always gives the same decision.
+    // Same (salt, shot, epoch) always gives the same decision.
     size_t stalled = 0;
     for (uint64_t shot = 0; shot < 200; ++shot) {
-        const uint64_t a = inject.stallNs(1, shot, 0, kStageRows);
-        const uint64_t b = inject.stallNs(1, shot, 0, kStageRows);
+        const uint64_t a = inject.stallNs(1, shot, 0);
+        const uint64_t b = inject.stallNs(1, shot, 0);
         EXPECT_EQ(a, b);
         stalled += a != 0;
     }
@@ -180,11 +180,10 @@ TEST(FaultInjector, DecisionsAreStatelessAndSeeded)
 TEST(FaultInjection, StallPlanForcesLadderAndCompletes)
 {
     // stall.p=1 with the default 50 ms stall against the default 10 ms
-    // stall-plan deadline: both MWPM stages overrun on every decodable
+    // stall-plan deadline: the rows stage overruns on every decodable
     // shot, the union-find floor answers, and the run still completes
     // with every shot accounted for.
     ScenarioConfig sc = quietConfig();
-    sc.matching = MatchingBackend::SparseBlossom; // full 3-stage ladder
     auto plan = parseFaultPlan("seed=5;stall.p=1");
     ASSERT_TRUE(plan.ok());
     sc.faults = plan.value();
@@ -196,13 +195,14 @@ TEST(FaultInjection, StallPlanForcesLadderAndCompletes)
     EXPECT_GT(led.ladderDecodes, 0u);
     EXPECT_EQ(led.degradedDecodes, led.ladderDecodes)
         << "every ladder decode should have timed out at stall.p=1";
-    EXPECT_GT(led.injectedStalls, 0u);
-    EXPECT_EQ(led.stageAttempts[kStageBlossom], led.ladderDecodes);
-    EXPECT_EQ(led.stageTimeouts[kStageBlossom], led.ladderDecodes);
+    EXPECT_EQ(led.injectedStalls, led.ladderDecodes)
+        << "every rows stage is stalled at stall.p=1";
+    EXPECT_EQ(led.stageAttempts[kStageRows], led.ladderDecodes);
     EXPECT_EQ(led.stageTimeouts[kStageRows], led.ladderDecodes);
+    EXPECT_EQ(led.stageAttempts[kStageUnionFind], led.ladderDecodes);
     EXPECT_EQ(led.stageCompleted[kStageUnionFind], led.ladderDecodes)
         << "the union-find floor must answer every degraded shot";
-    EXPECT_EQ(led.stageLatency[kStageBlossom].samples, led.ladderDecodes);
+    EXPECT_EQ(led.stageLatency[kStageRows].samples, led.ladderDecodes);
     EXPECT_FALSE(led.summary().empty());
 }
 

@@ -514,6 +514,141 @@ TEST(LoaderFuzz, StaleVersionViaFaultInjection)
     expectSameResults(*pass1, *pass2);
 }
 
+/** Restamp a snapshot container's payload ABI version, with a matching
+ *  header CRC, so the loader's version check (not the checksum) fires —
+ *  a well-formed file written by a build of another ABI. */
+std::string
+withAbiVersion(std::string bytes, uint32_t abi)
+{
+    EXPECT_GE(bytes.size(), kSnapshotHeaderBytes);
+    // Header: magic[8] | format u32 at 8 | abi u32 at 12 | crc32 of
+    // bytes [0, 16) at 16.
+    std::memcpy(&bytes[12], &abi, sizeof abi);
+    const uint32_t c = crc32(bytes.data(), 16);
+    std::memcpy(&bytes[16], &c, sizeof c);
+    return bytes;
+}
+
+TEST(LoaderFuzz, AbiV3SnapshotAndCheckpointColdStart)
+{
+    // ABI v4 dropped the ladder's blossom stage from the checkpointed
+    // ledger. Files a v3 build left behind must each degrade to a
+    // counted cold start with unchanged results.
+    ASSERT_EQ(kSnapshotAbiVersion, 4u);
+    const StatusOr<ScenarioResult> truth =
+        runScenarioExperimentChecked(sampledConfig());
+    ASSERT_TRUE(truth.ok()) << truth.status().str();
+
+    // A v3 cache snapshot: nothing is restored, one recovery counted.
+    {
+        TempDir dir;
+        ScenarioConfig sc = sampledConfig();
+        sc.persistDir = dir.path;
+        ASSERT_TRUE(runScenarioExperimentChecked(sc).ok());
+        const std::string snap = dir.file("cache.snap");
+        spit(snap, withAbiVersion(slurp(snap), 3));
+        DeformedCodeCache probe;
+        const StatusOr<SnapshotRestoreStats> direct =
+            loadCacheSnapshot(probe, snap);
+        ASSERT_FALSE(direct.ok());
+        EXPECT_EQ(direct.status().code(), StatusCode::kCorruptSnapshot);
+
+        const StatusOr<ScenarioResult> run = runScenarioExperimentChecked(sc);
+        ASSERT_TRUE(run.ok()) << run.status().str();
+        EXPECT_EQ(run->persistRestoredSegments, 0u);
+        EXPECT_EQ(run->ledger.snapRecoveries, 1u);
+        expectSameResults(*truth, *run);
+    }
+
+    // A v3 checkpoint of a killed run: nothing is resumed, one recovery
+    // counted.
+    {
+        TempDir dir;
+        ScenarioConfig killed = sampledConfig();
+        killed.persistDir = dir.path;
+        killed.faults = mustPlan("seed=3;snap.kill=2");
+        ASSERT_FALSE(runScenarioExperimentChecked(killed).ok());
+        char name[64];
+        std::snprintf(name, sizeof name, "run-%016llx.ckpt",
+                      static_cast<unsigned long long>(
+                          scenarioConfigSignature(killed)));
+        const std::string ckpt = dir.file(name);
+        ASSERT_TRUE(snapshotFileExists(ckpt));
+        spit(ckpt, withAbiVersion(slurp(ckpt), 3));
+        const StatusOr<RunCheckpoint> direct = loadRunCheckpoint(ckpt);
+        ASSERT_FALSE(direct.ok());
+        EXPECT_EQ(direct.status().code(), StatusCode::kCorruptSnapshot);
+
+        ScenarioConfig resumed = sampledConfig();
+        resumed.persistDir = dir.path;
+        const StatusOr<ScenarioResult> run =
+            runScenarioExperimentChecked(resumed);
+        ASSERT_TRUE(run.ok()) << run.status().str();
+        EXPECT_EQ(run->resumedTimelines, 0u);
+        EXPECT_EQ(run->ledger.snapRecoveries, 1u);
+        expectSameResults(*truth, *run);
+    }
+}
+
+TEST(LoaderFuzz, RetiredBackendRecordRejected)
+{
+    // A CRC-valid segment record naming backend 2 (the retired
+    // SparseBlossom) is rejected and counted; the rest of the snapshot
+    // restores and results stay bit-identical.
+    TempDir dir;
+    ScenarioConfig sc = sampledConfig();
+    sc.persistDir = dir.path;
+    const StatusOr<ScenarioResult> pass1 = runScenarioExperimentChecked(sc);
+    ASSERT_TRUE(pass1.ok()) << pass1.status().str();
+    const std::string snap = dir.file("cache.snap");
+    std::string bytes = slurp(snap);
+    DeformedCodeCache intact;
+    const StatusOr<SnapshotRestoreStats> before =
+        loadCacheSnapshot(intact, snap);
+    ASSERT_TRUE(before.ok()) << before.status().str();
+    ASSERT_EQ(before->rejectedRecords, 0u);
+    ASSERT_GT(before->segments, 0u);
+
+    // Record: type u8 | len u64 | payload | crc32 of type..payload. A
+    // segment payload (type 1) opens with its key (u64 length + bytes),
+    // the tag byte and the backend byte.
+    const std::vector<size_t> offs = recordBoundaries(bytes);
+    bool patched = false;
+    for (size_t i = 0; i + 1 < offs.size() && !patched; ++i) {
+        const size_t pos = offs[i];
+        if (bytes[pos] != 1)
+            continue;
+        uint64_t len = 0, key_len = 0;
+        std::memcpy(&len, bytes.data() + pos + 1, sizeof len);
+        std::memcpy(&key_len, bytes.data() + pos + 9, sizeof key_len);
+        const size_t backend_at = pos + 9 + 8 + key_len + 1;
+        ASSERT_EQ(static_cast<uint8_t>(bytes[backend_at]),
+                  static_cast<uint8_t>(MatchingBackend::Sparse));
+        bytes[backend_at] =
+            static_cast<char>(MatchingBackend::SparseBlossom);
+        const uint32_t c = crc32(bytes.data() + pos, 1 + 8 + len);
+        std::memcpy(&bytes[pos + 9 + len], &c, sizeof c);
+        patched = true;
+    }
+    ASSERT_TRUE(patched);
+    spit(snap, bytes);
+
+    DeformedCodeCache fresh;
+    const StatusOr<SnapshotRestoreStats> after =
+        loadCacheSnapshot(fresh, snap);
+    ASSERT_TRUE(after.ok()) << after.status().str();
+    EXPECT_GE(after->rejectedRecords, 1u);
+    EXPECT_EQ(after->segments, before->segments - 1);
+    EXPECT_FALSE(after->truncated);
+
+    const StatusOr<ScenarioResult> pass2 = runScenarioExperimentChecked(sc);
+    ASSERT_TRUE(pass2.ok()) << pass2.status().str();
+    EXPECT_EQ(pass2->ledger.snapRejectedRecords, after->rejectedRecords);
+    EXPECT_EQ(pass2->ledger.snapRecoveries, 0u);
+    EXPECT_EQ(pass2->persistRestoredSegments, before->segments - 1);
+    expectSameResults(*pass1, *pass2);
+}
+
 TEST(LoaderFuzz, TornAndBitflipFaultSites)
 {
     // snap.torn + snap.bitflip.p corrupt the written snapshot; every

@@ -6,10 +6,11 @@
  * O(k^3) blossom they both ran): bit-identical predictions of exact
  * rows on random graphlike DEMs and on deformed-patch circuits at both
  * basis tags, query-level agreement of memoized rows with the tables,
- * identical predictions and weights of the masked default config, and
- * weight equality of the sparse solver and the matrix-free matcher.
- * Also: truncation fallback behavior, union-find invariance, and the
- * d=13 smoke test.
+ * identical predictions and weights of the masked default config,
+ * weight equality of the sparse solver with the dense blossom, and
+ * burst shots matched over exact memoized rows. Also: truncation
+ * fallback behavior, rejection of the retired SparseBlossom backend,
+ * union-find invariance, and the d=13 smoke test.
  */
 
 #include <gtest/gtest.h>
@@ -83,12 +84,11 @@ TEST(SparseMatching, BitIdenticalToDenseOnRandomDems)
         const DetectorErrorModel dem = randomDem(rng);
         for (uint8_t tag : {0, 1}) {
             const TableDecoder dense(dem, tag);
-            MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
+            // The default Sparse decoder: radius-bounded rows, and no
+            // shot here has the more than K+1 defects the mask needs,
+            // so it minimises the same perturbed weights as the tables.
+            const MwpmDecoder sparse(dem, tag);
             ASSERT_EQ(sparse.backend(), MatchingBackend::Sparse);
-            // Fully exact sparse mode: bit-identity is guaranteed for
-            // every syndrome, including ties between equal-weight
-            // matchings (which random weights do produce).
-            sparse.setTruncation(SIZE_MAX);
             // The Dense backend is exact rows by construction.
             const MwpmDecoder exact_rows(dem, tag, nullptr,
                                          MatchingBackend::Dense);
@@ -106,8 +106,14 @@ TEST(SparseMatching, BitIdenticalToDenseOnRandomDems)
                 ASSERT_EQ(dn, sparse.decode(fired.data(), fired.size(), ss))
                     << "trial " << trial << " tag " << int(tag) << " shot "
                     << shot;
+                ASSERT_EQ(ds.lastWeight, ss.lastWeight)
+                    << "trial " << trial << " tag " << int(tag) << " shot "
+                    << shot;
                 ASSERT_EQ(dn,
                           exact_rows.decode(fired.data(), fired.size(), ss))
+                    << "Dense backend, trial " << trial << " tag "
+                    << int(tag) << " shot " << shot;
+                ASSERT_EQ(ds.lastWeight, ss.lastWeight)
                     << "Dense backend, trial " << trial << " tag "
                     << int(tag) << " shot " << shot;
             }
@@ -134,10 +140,9 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
         const auto dem = buildDem(built.circuit, basis);
         const uint8_t tag = (basis == PauliType::Z) ? 1 : 0;
         const TableDecoder dense(dem, tag);
-        MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
-        // Fully exact sparse queries: bit-identity must hold on every
-        // sampled shot, whatever its defect count.
-        sparse.setTruncation(SIZE_MAX);
+        // Exact rows: bit-identity must hold on every sampled shot,
+        // whatever its defect count.
+        const MwpmDecoder exact(dem, tag, nullptr, MatchingBackend::Dense);
         FrameSimulator sim(built.circuit, 1500, 0xd0d0);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
         MwpmDecoder deflt(dem, tag, nullptr, MatchingBackend::Sparse);
@@ -147,8 +152,8 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
         for (size_t s = 0; s < sim.shots(); ++s) {
             const bool dn =
                 dense.decode(syndromes.data(s), syndromes.count(s), ds);
-            ASSERT_EQ(dn, sparse.decode(syndromes.data(s),
-                                        syndromes.count(s), ss))
+            ASSERT_EQ(dn, exact.decode(syndromes.data(s),
+                                       syndromes.count(s), ss))
                 << "basis " << (basis == PauliType::Z ? "Z" : "X")
                 << " shot " << s;
             // The default config (truncated, radius-bounded) returns a
@@ -173,7 +178,7 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
     noise.p = 2e-3;
     const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
-    const DecodingGraph exact_rows(dem, 1);
+    const DecodingGraph exact_rows(dem, 1, MatchingBackend::Dense);
     const DecodingGraph bounded_rows(dem, 1, MatchingBackend::Sparse);
     const oracle::DenseTables dense(exact_rows);
     const int n = static_cast<int>(exact_rows.numNodes());
@@ -185,7 +190,7 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
         // Exact rows: bit-identical to the dense table, entry for
         // entry. (Parity witnesses are compared for targets >= src,
         // where the dense table stores the src-rooted path.)
-        const auto ex_p = exact_rows.row(src, true, sc);
+        const auto ex_p = exact_rows.row(src, sc);
         const DecodingGraph::Row &ex = *ex_p;
         EXPECT_EQ(ex.radius, DecodingGraph::kInf);
         for (int t = 0; t <= n; ++t) {
@@ -207,7 +212,7 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
 
         // Bounded rows: radius-capped at 2 d(src, B); everything within
         // the radius is present with the dense table's exact value.
-        const auto bd_p = bounded_rows.row(src, false, sc);
+        const auto bd_p = bounded_rows.row(src, sc);
         const DecodingGraph::Row &bd = *bd_p;
         const double db = dense.dist(src, bnode);
         ASSERT_TRUE(std::isfinite(db));
@@ -221,15 +226,6 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
                           dd)
                     << "src " << src << " target " << t;
         }
-
-        // Asking the bounded graph for an exact row upgrades in place.
-        const auto up_p = bounded_rows.row(src, true, sc);
-        const DecodingGraph::Row &up = *up_p;
-        EXPECT_EQ(up.radius, DecodingGraph::kInf);
-        for (int t = 0; t <= n; ++t)
-            ASSERT_EQ(static_cast<double>(up.dist[static_cast<size_t>(t)]),
-                      static_cast<double>(
-                          ex.dist[static_cast<size_t>(t)]));
     }
     EXPECT_GT(exact_rows.rowsBuilt(), 0u);
 }
@@ -265,15 +261,6 @@ TEST(SparseMatching, TinyTruncationStillDecodesAndFallsBackExactly)
             ++big_shots;
     }
     EXPECT_GT(big_shots, 20u) << "noise too low to exercise truncation";
-
-    // Flipping the same decoder to fully-exact afterwards upgrades its
-    // memoized truncated rows in place (old rows are retired, not
-    // freed under readers) and restores bit-identity with dense.
-    sparse.setTruncation(SIZE_MAX);
-    for (size_t s = 0; s < sim.shots(); ++s)
-        ASSERT_EQ(sparse.decode(syndromes.data(s), syndromes.count(s), ss),
-                  dense.decode(syndromes.data(s), syndromes.count(s), ds))
-            << "post-upgrade shot " << s;
 }
 
 /** Counts of one masked-mode oracle comparison. */
@@ -287,8 +274,9 @@ struct MaskedRun
  * Decoders against the former rows + K-nearest mask + k x k matrix +
  * dense blossom path on the same instance, with equal predictions and
  * equal matched weight required on every shot: the default Sparse
- * decoder (mask, burst dispatch), a rows-pinned one (no dispatch), and
- * a rows-pinned one at K = 4, where the mask binds on most shots.
+ * decoder (mask, maskless bursts), a mask-pinned one (the mask binds at
+ * every k > K+1), and a mask-pinned one at K = 4, where the mask binds
+ * on most shots.
  */
 MaskedRun
 compareMaskedRows(const DetectorErrorModel &dem, const SparseSyndromes &syn,
@@ -308,7 +296,7 @@ compareMaskedRows(const DetectorErrorModel &dem, const SparseSyndromes &syn,
     const oracle::RowsMatrixDecoder ref_tight(dem, 1, 4, false);
     const std::pair<const MwpmDecoder *, const oracle::RowsMatrixDecoder *>
         cases[] = {{&deflt, &ref}, {&rows, &ref_rows}, {&tight, &ref_tight}};
-    const char *names[] = {"default", "rows-pinned", "K=4"};
+    const char *names[] = {"default", "mask-pinned", "K=4"};
     OracleScratch os;
     MwpmScratch ms;
     MaskedRun run;
@@ -492,50 +480,11 @@ TEST(SparseBlossom, SolverHandlesDenseTieHeavyGraphs)
     }
 }
 
-TEST(SparseBlossom, WeightEqualsDenseOnRandomDems)
+TEST(SparseMatching, DefaultWeightEqualsDenseOnDeformedPatchBothBases)
 {
-    // The matrix-free matcher must produce matchings of exactly the
-    // dense blossom's total weight on every shot — including graphs
-    // with boundary-free islands (forbidden pairs) and boundary-heavy
-    // regions. Predictions may differ only among equal-weight optima.
-    Rng rng(0xbeefb105);
-    size_t checked = 0, pred_diff = 0;
-    for (int trial = 0; trial < 30; ++trial) {
-        const DetectorErrorModel dem = randomDem(rng);
-        for (uint8_t tag : {0, 1}) {
-            const TableDecoder dense(dem, tag);
-            const MwpmDecoder sb(dem, tag, nullptr,
-                                 MatchingBackend::SparseBlossom);
-            ASSERT_EQ(sb.backend(), MatchingBackend::SparseBlossom);
-            OracleScratch ds;
-            MwpmScratch ss;
-            for (int shot = 0; shot < 40; ++shot) {
-                std::set<uint32_t> fired_set;
-                const size_t n = rng.below(14);
-                for (size_t i = 0; i < n; ++i)
-                    fired_set.insert(
-                        static_cast<uint32_t>(rng.below(dem.numDetectors)));
-                const std::vector<uint32_t> fired(fired_set.begin(),
-                                                  fired_set.end());
-                const bool dp = dense.decode(fired.data(), fired.size(), ds);
-                const bool sp = sb.decode(fired.data(), fired.size(), ss);
-                ASSERT_EQ(ds.lastWeight, ss.lastWeight)
-                    << "trial " << trial << " tag " << int(tag) << " shot "
-                    << shot << " k " << fired.size();
-                ++checked;
-                pred_diff += dp != sp;
-            }
-        }
-    }
-    // Differing predictions can only come from equal-weight optima with
-    // different parity; they must stay rare even on random weights.
-    EXPECT_LE(pred_diff, checked / 20)
-        << "matcher diverges from dense far more often than equal-weight "
-           "ties can explain";
-}
-
-TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
-{
+    // The default Sparse decoder on a deformed patch: its burst
+    // threshold sits at the K-nearest mask's floor, so no shot is ever
+    // masked and every matched weight must equal the dense blossom's.
     const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
                                           {{5, 5}, {6, 6}})
                          .value();
@@ -550,8 +499,9 @@ TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
         const auto dem = buildDem(built.circuit, basis);
         const uint8_t tag = (basis == PauliType::Z) ? 1 : 0;
         const TableDecoder dense(dem, tag);
-        const MwpmDecoder sb(dem, tag, nullptr,
-                             MatchingBackend::SparseBlossom);
+        const MwpmDecoder deflt(dem, tag);
+        ASSERT_LE(deflt.blossomThreshold(), kDefaultNearestDefects + 2)
+            << "the mask could bind: weight equality is not guaranteed";
         FrameSimulator sim(built.circuit, 1200, 0xc0de);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
         OracleScratch ds;
@@ -561,7 +511,7 @@ TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
             const bool dp =
                 dense.decode(syndromes.data(s), syndromes.count(s), ds);
             const bool sp =
-                sb.decode(syndromes.data(s), syndromes.count(s), ss);
+                deflt.decode(syndromes.data(s), syndromes.count(s), ss);
             ASSERT_EQ(ds.lastWeight, ss.lastWeight)
                 << "basis " << (basis == PauliType::Z ? "Z" : "X")
                 << " shot " << s << " k " << syndromes.count(s);
@@ -573,12 +523,15 @@ TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
     }
 }
 
-TEST(SparseBlossom, BurstSyndromeWeightEqualityAtHighDefectCounts)
+TEST(SparseMatching, BurstShotsTakeExactMemoizedRows)
 {
     // High-defect burst syndromes on a deformed d=9 patch: clusters of
     // 16..96 fired detectors (the paper's cosmic-ray events light up
-    // whole regions). Weight equality with the dense blossom must hold
-    // at every size, through the Sparse backend's dispatch as well.
+    // whole regions). A default Sparse decoder matches every shot at or
+    // past its burst threshold over the memoized rows of all its
+    // defects, without the K-nearest mask, so it reports the dense
+    // blossom's weight; a decoder whose threshold is lowered to 8 does
+    // the same at every size.
     const auto out =
         applyStrategyChecked(Strategy::SurfDeformer, 9, 2, {{8, 9}}).value();
     ASSERT_TRUE(out.alive);
@@ -589,35 +542,80 @@ TEST(SparseBlossom, BurstSyndromeWeightEqualityAtHighDefectCounts)
     const BuiltCircuit built = buildMemoryCircuit(out.patch, spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
     const TableDecoder dense(dem, 1);
-    const MwpmDecoder sb(dem, 1, nullptr, MatchingBackend::SparseBlossom);
-    MwpmDecoder dispatch(dem, 1, nullptr, MatchingBackend::Sparse);
-    dispatch.setBlossomThreshold(8);
+    MwpmDecoder low(dem, 1, nullptr, MatchingBackend::Sparse);
+    low.setBlossomThreshold(8);
     Rng rng(0xbadc0de);
     OracleScratch ds;
-    MwpmScratch ss, ps;
+    MwpmScratch ss, ls;
+    size_t bursts = 0;
     for (size_t target : {16u, 32u, 64u, 96u}) {
         for (int rep = 0; rep < 8; ++rep) {
             const std::vector<uint32_t> fired =
                 benchutil::burstCluster(dem, dense.graph(), target, rng);
             ASSERT_GE(fired.size(), target / 2);
             (void)dense.decode(fired.data(), fired.size(), ds);
-            (void)sb.decode(fired.data(), fired.size(), ss);
-            (void)dispatch.decode(fired.data(), fired.size(), ps);
+            (void)low.decode(fired.data(), fired.size(), ls);
+            ASSERT_EQ(ds.lastWeight, ls.lastWeight)
+                << "threshold 8, cluster " << target << " rep " << rep
+                << " k " << fired.size();
+
+            // A fresh default decoder builds one row per defect for a
+            // burst shot: nothing is matched without the rows.
+            const MwpmDecoder deflt(dem, 1);
+            const size_t k = ds.defects.size();
+            if (k < deflt.blossomThreshold())
+                continue;
+            ++bursts;
+            ASSERT_EQ(deflt.graph().rowsBuilt(), 0u);
+            (void)deflt.decode(fired.data(), fired.size(), ss);
+            EXPECT_EQ(deflt.graph().rowsBuilt(), k)
+                << "cluster " << target << " rep " << rep;
             ASSERT_EQ(ds.lastWeight, ss.lastWeight)
-                << "cluster " << target << " rep " << rep << " k "
-                << fired.size();
-            ASSERT_EQ(ds.lastWeight, ps.lastWeight)
-                << "dispatch path, cluster " << target << " rep " << rep;
+                << "default, cluster " << target << " rep " << rep << " k "
+                << k;
         }
+    }
+    EXPECT_GT(bursts, 8u) << "too few shots reached the burst threshold";
+}
+
+TEST(SparseMatching, RetiredSparseBlossomBackendIsRejected)
+{
+    // The matrix-free matcher left the library; its enumerator survives
+    // only as a rejected value. A graph (and so a decoder) throws, and
+    // scenario validation refuses the config before any work.
+    MemorySpec spec;
+    spec.rounds = 3;
+    NoiseParams noise;
+    noise.p = 2e-3;
+    const BuiltCircuit built = buildMemoryCircuit(squarePatch(3), spec, noise);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    try {
+        const MwpmDecoder retired(dem, 1, nullptr,
+                                  MatchingBackend::SparseBlossom);
+        ADD_FAILURE() << "SparseBlossom decoder was constructed";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+            << e.status().str();
+    }
+
+    ScenarioConfig cfg;
+    cfg.matching = MatchingBackend::SparseBlossom;
+    const Status bad = validateScenarioConfig(cfg);
+    EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument) << bad.str();
+    const StatusOr<ScenarioResult> run = runScenarioExperimentChecked(cfg);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    for (MatchingBackend live :
+         {MatchingBackend::Dense, MatchingBackend::Sparse}) {
+        cfg.matching = live;
+        EXPECT_TRUE(validateScenarioConfig(cfg).ok());
     }
 }
 
 TEST(SparseBlossom, ScenarioFailureCountsIdenticalAcrossBackends)
 {
-    // The cosmic-ray scenario workload decoded with each of the three
-    // matching backends: identical failure counts and per-epoch
-    // mismatch tallies. (Weight equality is exact; on this workload the
-    // equal-weight tie-breaks happen to agree as well.)
+    // The cosmic-ray scenario workload decoded with both matching
+    // backends: identical failure counts and per-epoch mismatch tallies.
     ScenarioConfig cfg;
     cfg.timeline.strategy = Strategy::SurfDeformer;
     cfg.timeline.d = 5;
@@ -639,8 +637,7 @@ TEST(SparseBlossom, ScenarioFailureCountsIdenticalAcrossBackends)
     uint64_t ref_failures = 0;
     std::vector<uint64_t> ref_mism;
     for (MatchingBackend b :
-         {MatchingBackend::Dense, MatchingBackend::Sparse,
-          MatchingBackend::SparseBlossom}) {
+         {MatchingBackend::Dense, MatchingBackend::Sparse}) {
         cfg.matching = b;
         const ScenarioResult res = runScenarioExperimentChecked(cfg).value();
         EXPECT_GT(res.shots, 0u);

@@ -243,23 +243,24 @@ TEST(Deadline, LedgerRecordsLadderTrips)
     EXPECT_TRUE(led.empty());
     ShotLadderTrace trace;
     trace.reset();
-    trace.note(kStageBlossom, 2000, /*expired=*/true);
-    trace.note(kStageRows, 700, /*expired=*/false);
-    trace.answer = kStageRows;
+    trace.note(kStageRows, 2000, /*expired=*/true);
+    trace.note(kStageUnionFind, 700, /*expired=*/false);
+    trace.answer = kStageUnionFind;
     led.record(trace);
     EXPECT_EQ(led.ladderDecodes, 1u);
     EXPECT_EQ(led.degradedDecodes, 1u);
-    EXPECT_EQ(led.stageAttempts[kStageBlossom], 1u);
-    EXPECT_EQ(led.stageTimeouts[kStageBlossom], 1u);
-    EXPECT_EQ(led.stageCompleted[kStageRows], 1u);
-    EXPECT_EQ(led.stageLatency[kStageRows].samples, 1u);
-    EXPECT_EQ(led.stageLatency[kStageRows].maxNs, 700u);
+    EXPECT_EQ(led.stageAttempts[kStageRows], 1u);
+    EXPECT_EQ(led.stageTimeouts[kStageRows], 1u);
+    EXPECT_EQ(led.stageCompleted[kStageRows], 0u);
+    EXPECT_EQ(led.stageCompleted[kStageUnionFind], 1u);
+    EXPECT_EQ(led.stageLatency[kStageUnionFind].samples, 1u);
+    EXPECT_EQ(led.stageLatency[kStageUnionFind].maxNs, 700u);
 
     DegradationLedger other;
     other.record(trace);
     led.merge(other);
     EXPECT_EQ(led.ladderDecodes, 2u);
-    EXPECT_EQ(led.stageAttempts[kStageRows], 2u);
+    EXPECT_EQ(led.stageAttempts[kStageUnionFind], 2u);
     EXPECT_FALSE(led.summary().empty());
 }
 
